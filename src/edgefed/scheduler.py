@@ -2,9 +2,12 @@
 
 The divergence-aware policy greedily hands each server the candidate whose
 label distribution is closest, in KL divergence, to what the server still
-needs to reach the global target. Two baselines are provided: nearest device
-first, and uniformly random order. All policies trace the KL divergence of
-the growing server dataset against the global target after every merge.
+needs to reach the global target. Each server's candidates are smoothed once
+into an (n x C) probability matrix, and every step scores all remaining rows
+in one array op. Two baselines are provided: nearest device first, ordered
+by one sort per server, and uniformly random order, one draw per step. All
+policies trace the KL divergence of the growing server dataset against the
+global target after every merge.
 """
 
 from __future__ import annotations
@@ -150,7 +153,25 @@ class StepResult:
 
     device: int
     merged: LabelDistribution
-    record: object = None
+
+
+def _candidate_probs(ids: Sequence[int], dists: Mapping) -> np.ndarray:
+    """Smoothed label distributions of ``ids``, one row per device, in order."""
+    return np.array([normalize(dists[u]).probs for u in ids])
+
+
+def _kl_scores(
+    probs: np.ndarray, server_dist: LabelDistribution, target: LabelDistribution
+) -> np.ndarray:
+    """KL divergence of every row of ``probs`` to the server's remaining demand.
+
+    The demand is the smoothed complement of the target against what the
+    server already holds. Each entry equals ``kl(row, demand)`` bit for bit:
+    smoothed rows have no zero entries, so no term is masked, and a row sum
+    adds its terms in the same order as the scalar sum.
+    """
+    demand = normalize(complement(target, server_dist)).probs
+    return np.maximum(np.sum(probs * np.log(probs / demand), axis=1), 0.0)
 
 
 def min_kl_step(
@@ -159,48 +180,57 @@ def min_kl_step(
     dists: Mapping,
     server_dist: LabelDistribution,
     target: LabelDistribution,
-    power_solver: Callable | None = None,
 ) -> StepResult:
     """Pick the candidate closest in KL to the server's remaining demand.
 
-    The demand is the smoothed complement of the target against what the
-    server already holds. Ties resolve to the lowest device id. When a
-    power solver is supplied it is invoked for the chosen pair and its
-    record is attached to the result.
+    Ties resolve to the lowest device id.
 
     Raises:
         PoolExhaustedError: no candidates remain.
     """
     if not candidates:
         raise PoolExhaustedError(f"server {server_id} has no candidates left")
-    demand = normalize(complement(target, server_dist))
-    best_id, best_kl = None, None
-    for u in sorted(candidates):
-        d = kl(normalize(dists[u]), demand)
-        if best_kl is None or d < best_kl:
-            best_id, best_kl = u, d
-    record = None
-    if power_solver is not None:
-        record = power_solver((best_id, server_id))
-    return StepResult(
-        device=best_id,
-        merged=server_dist.merge(dists[best_id]),
-        record=record,
-    )
+    ids = sorted(candidates)
+    scores = _kl_scores(_candidate_probs(ids, dists), server_dist, target)
+    best = ids[int(np.argmin(scores))]
+    return StepResult(device=best, merged=server_dist.merge(dists[best]))
 
 
-def _nearest_step(server_id, candidates, dists, server_dist, topo):
-    best_id, best_d = None, None
-    for u in sorted(candidates):
-        d = topo.distance(u, server_id)
-        if best_d is None or d < best_d:
-            best_id, best_d = u, d
-    return StepResult(device=best_id, merged=server_dist.merge(dists[best_id]))
+def _min_kl_picker(ids, dists, target):
+    """Greedy min-KL order: one array op over the remaining candidates per step.
+
+    ``argmin`` returns the first minimum and rows are in ascending id, so
+    ties go to the lowest id, as in ``min_kl_step``.
+    """
+    probs = _candidate_probs(ids, dists)
+    taken = np.zeros(len(ids), dtype=bool)
+
+    def pick(server_dist):
+        scores = _kl_scores(probs, server_dist, target)
+        scores[taken] = np.inf
+        i = int(np.argmin(scores))
+        taken[i] = True
+        return ids[i]
+
+    return pick
 
 
-def _random_step(server_id, candidates, dists, server_dist, rng):
-    u = int(rng.choice(sorted(candidates)))
-    return StepResult(device=u, merged=server_dist.merge(dists[u]))
+def _nearest_picker(ids, topo, server_id):
+    """Nearest device first, lowest id on equal distance: one sort per server."""
+    order = iter(sorted(ids, key=lambda u: (topo.distance(u, server_id), u)))
+    return lambda server_dist: next(order)
+
+
+def _random_picker(ids, rng):
+    """Uniformly random order, one draw over the remaining ids per step."""
+    remaining = list(ids)
+
+    def pick(server_dist):
+        u = int(rng.choice(remaining))
+        remaining.remove(u)
+        return u
+
+    return pick
 
 
 def run_scheduler(
@@ -238,33 +268,30 @@ def run_scheduler(
     plan_pairs = []
     for server in topo.servers:
         s = server.id
-        candidates = serviceable_set(s, topo)
+        ids = serviceable_set(s, topo)
+        if cfg.policy == Policy.MIN_KL:
+            pick = _min_kl_picker(ids, dists, cfg.target)
+        elif cfg.policy == Policy.NEAREST:
+            pick = _nearest_picker(ids, topo, s)
+        else:
+            pick = _random_picker(ids, rng)
         server_dist = LabelDistribution.zeros(cfg.target.num_classes)
         plan_total = 0
-        round_no = 0
-        while candidates:
-            round_no += 1
-            if cfg.policy == Policy.MIN_KL:
-                step = min_kl_step(s, candidates, dists, server_dist, cfg.target)
-            elif cfg.policy == Policy.NEAREST:
-                step = _nearest_step(s, candidates, dists, server_dist, topo)
-            else:
-                step = _random_step(s, candidates, dists, server_dist, rng)
-            in_plan = plan_total < cfg.gamma
-            if in_plan:
-                plan_pairs.append((step.device, s))
-                plan_total += dists[step.device].total()
-            server_dist = step.merged
+        for round_no in range(1, len(ids) + 1):
+            device = pick(server_dist)
+            if plan_total < cfg.gamma:
+                plan_pairs.append((device, s))
+                plan_total += dists[device].total()
+            server_dist = server_dist.merge(dists[device])
             trace_rows.append(
                 TraceRow(
                     round=round_no,
                     server=s,
                     kl=kl(normalize(server_dist), target_probs),
                     total=server_dist.total(),
-                    device=step.device,
+                    device=device,
                 )
             )
-            candidates.remove(step.device)
             if cfg.stop_at_threshold and plan_total >= cfg.gamma:
                 break
     smap = assign_subcarriers(plan_pairs, radio.subcarriers)

@@ -1,5 +1,7 @@
 """Offloading policies: candidate bookkeeping, greedy selection, full runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -17,6 +19,8 @@ from edgefed.network import RadioConfig, TransferRecord, place_topology
 from edgefed.scheduler import (
     Policy,
     SchedulerConfig,
+    _candidate_probs,
+    _kl_scores,
     min_kl_step,
     run_scheduler,
     serviceable_set,
@@ -109,11 +113,49 @@ def test_min_kl_single_candidate_is_forced():
     assert step.device == 3
 
 
+def _assert_scores_match_oracle(candidates, dists, server, target):
+    """The array scores equal the scalar ``kl`` of each candidate, bit for bit."""
+    ids = sorted(candidates)
+    scores = _kl_scores(_candidate_probs(ids, dists), server, target)
+    demand = normalize(complement(target, server))
+    oracle = [kl(normalize(dists[u]), demand) for u in ids]
+    assert [float(x) for x in scores] == oracle
+    return dict(zip(ids, oracle))
+
+
 def test_min_kl_tie_goes_to_lower_id():
     target = uniform_target(1, 100, 2)
     dists = {5: LabelDistribution([10, 10]), 2: LabelDistribution([10, 10])}
     step = min_kl_step(0, [5, 2], dists, LabelDistribution.zeros(2), target)
     assert step.device == 2
+
+    # identical histograms among worse ones: the lowest id of the pair wins
+    target = uniform_target(1, 600, 4)
+    server = LabelDistribution([150, 40, 150, 90])
+    dists = {
+        1: LabelDistribution([30, 0, 5, 0]),
+        4: LabelDistribution([0, 40, 0, 20]),
+        9: LabelDistribution([0, 40, 0, 20]),
+        6: LabelDistribution([5, 5, 5, 5]),
+    }
+    scores = _assert_scores_match_oracle(dists, dists, server, target)
+    assert scores[4] == scores[9] < min(scores[1], scores[6])
+    assert min_kl_step(0, [9, 6, 4, 1], dists, server, target).device == 4
+
+    # a copy of the demand scores exactly 0; twice the demand rounds to a
+    # slightly negative sum that the clamp also sends to 0, so the two tie
+    target = uniform_target(1, 100, 6)
+    server = LabelDistribution.zeros(6)
+    dists = {
+        3: LabelDistribution(target.counts * 2),
+        8: LabelDistribution(target.counts),
+        0: LabelDistribution([40, 0, 0, 0, 0, 60]),
+    }
+    p, q = normalize(dists[3]).probs, normalize(target).probs
+    assert np.sum(p * np.log(p / q)) < 0.0
+    scores = _assert_scores_match_oracle(dists, dists, server, target)
+    assert scores[3] == scores[8] == 0.0 < scores[0]
+    assert min_kl_step(0, [8, 3, 0], dists, server, target).device == 3
 
 
 def test_min_kl_empty_pool_signals():
@@ -125,19 +167,19 @@ def test_min_kl_empty_pool_signals():
 def test_min_kl_agrees_with_exhaustive_oracle():
     """Recompute every candidate KL independently on random instances."""
     rng = default_rng(19)
-    target = uniform_target(1, 2000, 6)
-    for _ in range(50):
-        dists = {
-            u: LabelDistribution(rng.integers(0, 40, size=6)) for u in range(20)
-        }
-        candidates = [u for u in dists if dists[u].total() > 0]
-        server = LabelDistribution(rng.integers(0, 120, size=6))
-        step = min_kl_step(0, candidates, dists, server, target)
-        demand = normalize(complement(target, server))
-        scored = sorted(
-            (kl(normalize(dists[u]), demand), u) for u in candidates
-        )
-        assert step.device == scored[0][1]
+    for num_classes in (2, 6, 10, 37):
+        target = uniform_target(1, 2000, num_classes)
+        for _ in range(50):
+            counts = rng.integers(0, 40, size=(20, num_classes))
+            # zero-count classes: blank a random subset of every histogram
+            counts[rng.random(counts.shape) < 0.3] = 0
+            dists = {u: LabelDistribution(c) for u, c in enumerate(counts)}
+            candidates = [u for u in dists if dists[u].total() > 0]
+            server = LabelDistribution(rng.integers(0, 120, size=num_classes))
+            step = min_kl_step(0, candidates, dists, server, target)
+            scores = _assert_scores_match_oracle(candidates, dists, server, target)
+            scored = sorted((d, u) for u, d in scores.items())
+            assert step.device == scored[0][1]
 
 
 # ------------------------------------------------------------------ full runs
@@ -204,26 +246,75 @@ def test_random_policy_is_reproducible():
         run_scheduler(cfg, topo, RadioConfig(), rng=None, power_solver=_stub_solver)
 
 
+def _with_device(topo, device_id, **changes):
+    """The topology with one device's fields replaced."""
+    devices = tuple(
+        dataclasses.replace(d, **changes) if d.id == device_id else d
+        for d in topo.devices
+    )
+    return dataclasses.replace(topo, devices=devices)
+
+
 def test_trace_replay_confirms_every_greedy_choice():
     """Walk the emitted trace and re-derive each pick from scratch."""
-    topo = _grouped_topology(10)
+    placed = _grouped_topology(10)
     target = uniform_target(4, 500, 10)
     cfg = SchedulerConfig(gamma=500, target=target)
-    _, trace = run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
-    dists = {d.id: d.dist for d in topo.devices}
-    for server in range(4):
+    # crafted tie: server 0's highest id gets its lowest id's histogram, so
+    # whenever one of the two is the best pick the other ties it
+    home = serviceable_set(0, placed)
+    lo, hi = home[0], home[-1]
+    tied = _with_device(placed, hi, dist=placed.device(lo).dist)
+    for topo in (placed, tied):
+        _, trace = run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
+        dists = {d.id: d.dist for d in topo.devices}
+        for server in range(4):
+            remaining = set(serviceable_set(server, topo))
+            held = LabelDistribution.zeros(10)
+            for row in trace.per_server(server):
+                demand = normalize(complement(target, held))
+                best = min(
+                    (kl(normalize(dists[u]), demand), u) for u in sorted(remaining)
+                )
+                assert row.device == best[1]
+                held = held.merge(dists[row.device])
+                remaining.remove(row.device)
+                assert row.total == held.total()
+            assert not remaining  # trace continues through the whole pool
+    order = [r.device for r in trace.per_server(0)]
+    assert order.index(lo) < order.index(hi)
+
+
+def _replay_nearest(topo, trace, num_servers):
+    """Each pick is the remaining candidate nearest the server, lowest id on ties."""
+    for server in range(num_servers):
         remaining = set(serviceable_set(server, topo))
-        held = LabelDistribution.zeros(10)
         for row in trace.per_server(server):
-            demand = normalize(complement(target, held))
-            best = min(
-                (kl(normalize(dists[u]), demand), u) for u in sorted(remaining)
-            )
+            best = min((topo.distance(u, server), u) for u in remaining)
             assert row.device == best[1]
-            held = held.merge(dists[row.device])
             remaining.remove(row.device)
-            assert row.total == held.total()
         assert not remaining  # trace continues through the whole pool
+
+
+def test_trace_replay_confirms_every_nearest_choice():
+    """Walk the nearest policy's trace and re-derive each pick from distances."""
+    topo = _grouped_topology(13)
+    cfg = SchedulerConfig(
+        gamma=500, target=uniform_target(4, 500, 10), policy=Policy.NEAREST
+    )
+    _, trace = run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
+    _replay_nearest(topo, trace, 4)
+
+    # crafted tie: move server 0's lowest id onto its highest id's spot, so
+    # the two sit at equal distance and the lower id must be taken first
+    home = serviceable_set(0, topo)
+    lo, hi = home[0], home[-1]
+    tied = _with_device(topo, lo, position=topo.device(hi).position)
+    assert tied.distance(lo, 0) == tied.distance(hi, 0)
+    _, trace = run_scheduler(cfg, tied, RadioConfig(), power_solver=_stub_solver)
+    _replay_nearest(tied, trace, 4)
+    order = [r.device for r in trace.per_server(0)]
+    assert order.index(hi) == order.index(lo) + 1
 
 
 def test_trace_kl_improves_under_threshold_stop():
