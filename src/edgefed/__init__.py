@@ -16,7 +16,6 @@ from .distributions import (
     GroupedProfile,
     LabelDistribution,
     ProbabilityVector,
-    Sample,
     generate_clients,
     materialize,
     normalize,
@@ -43,7 +42,6 @@ from .federated import (
     evaluate_accuracy,
     global_loss,
     iid_counterpart,
-    load_idx_dataset,
     local_update,
     loss_and_grad,
     run_fl,
@@ -65,7 +63,6 @@ from .network import (
 )
 from .power import (
     PairParams,
-    PowerAllocation,
     PowerResult,
     allocate_power,
     effective_interference,

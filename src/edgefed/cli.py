@@ -57,13 +57,13 @@ def _cmd_sweep(args) -> int:
     if not paths:
         raise FileNotFoundError(f"no config files match {args.configs!r}")
     configs = [ScenarioConfig.from_json(p) for p in paths]
-    results = sweep(configs, jobs=args.jobs)
+    results = sweep(configs)
     rows = []
     failed = 0
-    for path, res in zip(paths, results):
+    for path, cfg, res in zip(paths, configs, results):
         if res["ok"]:
             bundle = res["bundle"]
-            out_dir = resolve_out_dir(ScenarioConfig.from_json(path)) / Path(path).stem
+            out_dir = resolve_out_dir(cfg) / Path(path).stem
             emit(bundle, out_dir)
             rows.append(
                 {
@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="run every matching scenario config")
     sw.add_argument("--configs", required=True, help="glob of config files")
-    sw.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sw.set_defaults(func=_cmd_sweep)
 
     aud = sub.add_parser("audit", help="run the drift-bound audit for a config")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -176,14 +176,6 @@ NonIidProfile = Union[DirichletProfile, GroupedProfile]
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labelled feature vector."""
-
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A packed collection of labelled feature vectors.
 
@@ -207,13 +199,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
-
-    def __getitem__(self, index: int) -> Sample:
-        return Sample(self.features[index], int(self.labels[index]))
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def feat_dim(self) -> int:

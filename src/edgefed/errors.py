@@ -16,7 +16,7 @@ class DimensionMismatchError(SimulationError, ValueError):
 
 
 class InvalidInputError(SimulationError, ValueError):
-    """Malformed input data (empty dataset, bad file magic, negative counts)."""
+    """Malformed input data (empty dataset, bad config key or type, negative counts)."""
 
 
 class InvalidComparisonError(SimulationError, ValueError):

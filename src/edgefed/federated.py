@@ -9,9 +9,6 @@ round by round.
 
 from __future__ import annotations
 
-import gzip
-import struct
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,14 +98,15 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Per-round training record."""
+    """Per-round training record.
+
+    ``global_loss`` is the size-weighted mean of each server's loss at its
+    own local model, before aggregation.
+    """
 
     round: int
     global_loss: float
-    aggregated_loss: float
     accuracy: float
-    per_server_loss: tuple
-    wall_clock: float
 
 
 def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -267,25 +265,14 @@ def run_fl(
     total = float(sum(sizes))
     metrics = []
     for t in range(1, cfg.rounds + 1):
-        started = time.perf_counter()
         locals_ = [local_update(current, d, cfg, rng) for d in server_datasets]
         current = aggregate(locals_, sizes)
         per_server = tuple(
             loss_and_grad(m, d)[0] for m, d in zip(locals_, server_datasets)
         )
         g_loss = float(sum((s / total) * l for s, l in zip(sizes, per_server)))
-        agg_loss = global_loss(current, server_datasets, sizes)
         acc = evaluate_accuracy(current, eval_set) if eval_set is not None else float("nan")
-        metrics.append(
-            RoundMetrics(
-                round=t,
-                global_loss=g_loss,
-                aggregated_loss=agg_loss,
-                accuracy=acc,
-                per_server_loss=per_server,
-                wall_clock=time.perf_counter() - started,
-            )
-        )
+        metrics.append(RoundMetrics(round=t, global_loss=g_loss, accuracy=acc))
     return metrics, current
 
 
@@ -367,52 +354,3 @@ def run_paired(
         gaps.append(w.distance(v))
     return PairedRun(tuple(left_snaps), tuple(right_snaps), tuple(gaps), cfg)
 
-
-_IDX_IMAGES_MAGIC = 2051
-_IDX_LABELS_MAGIC = 2049
-
-
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_header(fh, num_fields: int, what: str) -> tuple:
-    raw = fh.read(4 * num_fields)
-    if len(raw) != 4 * num_fields:
-        raise InvalidInputError(f"{what} header truncated")
-    return struct.unpack(">" + "i" * num_fields, raw)
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Read a big-endian IDX image file into a float matrix scaled to [0, 1]."""
-    with _open_maybe_gzip(path) as fh:
-        magic, count, rows, cols = _read_header(fh, 4, "image file")
-        if magic != _IDX_IMAGES_MAGIC:
-            raise InvalidInputError(f"bad image file magic {magic}")
-        raw = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
-    if raw.size != count * rows * cols:
-        raise InvalidInputError("image file truncated")
-    return raw.reshape(count, rows * cols).astype(np.float64) / 255.0
-
-
-def load_idx_labels(path) -> np.ndarray:
-    """Read a big-endian IDX label file."""
-    with _open_maybe_gzip(path) as fh:
-        magic, count = _read_header(fh, 2, "label file")
-        if magic != _IDX_LABELS_MAGIC:
-            raise InvalidInputError(f"bad label file magic {magic}")
-        raw = np.frombuffer(fh.read(count), dtype=np.uint8)
-    if raw.size != count:
-        raise InvalidInputError("label file truncated")
-    return raw.astype(np.int64)
-
-
-def load_idx_dataset(images_path, labels_path) -> Dataset:
-    """Pair an IDX image file with its label file."""
-    images = load_idx_images(images_path)
-    labels = load_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise DimensionMismatchError("image and label counts differ")
-    return Dataset(images, labels)

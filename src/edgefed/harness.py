@@ -7,12 +7,10 @@ produce byte-identical result files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
 import platform
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +28,7 @@ from .distributions import (
     uniform_distribution,
 )
 from .divergence import DivergenceReport, audit_drift_bound
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError
 from .federated import (
     TrainConfig,
     iid_counterpart,
@@ -46,7 +44,6 @@ from .network import (
     place_topology,
     system_cost,
 )
-from .power import PowerAllocation
 from .rng import keyed_stream, substream
 from .scheduler import (
     OffloadTrace,
@@ -117,107 +114,75 @@ class ScenarioConfig:
     out_dir: str | None = None
 
     def to_dict(self) -> dict:
-        profile = self.data.profile
-        if isinstance(profile, GroupedProfile):
-            profile_dict = {
-                "kind": "grouped",
-                "high_mean": profile.high_mean,
-                "high_std": profile.high_std,
-                "low_mean": profile.low_mean,
-                "low_std": profile.low_std,
-                "num_high_classes": profile.num_high_classes,
-                "group_size": profile.group_size,
-                "num_classes": profile.num_classes,
-                "redraw_per_client": profile.redraw_per_client,
-            }
-            if profile.group_weights is not None:
-                profile_dict["group_weights"] = list(profile.group_weights)
-        elif isinstance(profile, DirichletProfile):
-            profile_dict = {
-                "kind": "dirichlet",
-                "alpha": list(profile.alpha),
-                "samples_per_client": profile.samples_per_client,
-            }
-        else:
-            raise InvalidParameterError(
-                f"unknown profile type {type(profile).__name__}"
-            )
-        return {
-            "seed": self.seed,
-            "topology": {
-                "num_servers": self.topology.num_servers,
-                "devices_per_server": self.topology.devices_per_server,
-                "cell_radius": self.topology.cell_radius,
-                "path_loss_exponent": self.topology.path_loss_exponent,
-                "reference_gain": self.topology.reference_gain,
-                "reference_distance": self.topology.reference_distance,
-                "fading": self.topology.fading,
-            },
-            "radio": {
-                "bandwidth_hz": self.radio.bandwidth_hz,
-                "subcarriers": self.radio.subcarriers,
-                "noise_power": self.radio.noise_power,
-                "max_power": self.radio.max_power,
-                "rated_power": self.radio.rated_power,
-            },
-            "data": {
-                "profile": profile_dict,
-                "num_classes": self.data.num_classes,
-                "feat_dim": self.data.feat_dim,
-                "separation": self.data.separation,
-                "feature_std": self.data.feature_std,
-                "bits_per_sample": self.data.bits_per_sample,
-                "eval_samples_per_class": self.data.eval_samples_per_class,
-            },
-            "scheduler": {
-                "gamma": self.scheduler.gamma,
-                "policy": self.scheduler.policy,
-                "stop_at_threshold": self.scheduler.stop_at_threshold,
-            },
-            "train": {
-                "phi": self.train.phi,
-                "local_steps": self.train.local_steps,
-                "rounds": self.train.rounds,
-                "batch_size": self.train.batch_size,
-            },
-            "audit": self.audit,
-            "tags": list(self.tags),
-            "out_dir": self.out_dir,
-        }
+        return _to_plain(self)
 
     @staticmethod
     def from_dict(payload: dict) -> "ScenarioConfig":
-        def section(name, cls):
-            return cls(**dict(payload.get(name, {})))
-
-        data_raw = dict(payload.get("data", {}))
-        profile_raw = dict(data_raw.pop("profile", {"kind": "grouped"}))
-        kind = profile_raw.pop("kind", "grouped")
-        if kind == "grouped":
-            if profile_raw.get("group_weights") is not None:
-                profile_raw["group_weights"] = tuple(profile_raw["group_weights"])
-            profile: NonIidProfile = GroupedProfile(**profile_raw)
-        elif kind == "dirichlet":
-            profile_raw["alpha"] = tuple(profile_raw["alpha"])
-            profile = DirichletProfile(**profile_raw)
-        else:
-            raise InvalidInputError(f"unknown profile kind {kind!r}")
-        return ScenarioConfig(
-            seed=int(payload.get("seed", 1)),
-            topology=section("topology", TopologyParams),
-            radio=section("radio", RadioConfig),
-            data=DataParams(profile=profile, **data_raw),
-            scheduler=section("scheduler", SchedulerParams),
-            train=section("train", TrainParams),
-            audit=bool(payload.get("audit", True)),
-            tags=tuple(payload.get("tags", ())),
-            out_dir=payload.get("out_dir"),
-        )
+        return _from_plain(ScenarioConfig, payload, "")
 
     @staticmethod
     def from_json(path) -> "ScenarioConfig":
         with open(path) as fh:
             return ScenarioConfig.from_dict(json.load(fh))
+
+
+# The profile is the one polymorphic config field; its JSON form names the
+# class with a "kind" tag, and an untagged profile is grouped.
+_PROFILE_KINDS = {"grouped": GroupedProfile, "dirichlet": DirichletProfile}
+_SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _to_plain(value):
+    """JSON form of a config: dataclasses become dicts, tuples become lists."""
+    if is_dataclass(value):
+        out = {f.name: _to_plain(getattr(value, f.name)) for f in fields(value)}
+        for kind, cls in _PROFILE_KINDS.items():
+            if type(value) is cls:
+                out["kind"] = kind
+        return out
+    if isinstance(value, tuple):
+        return [_to_plain(v) for v in value]
+    return value
+
+
+def _from_plain(cls, raw, path: str):
+    """Build dataclass ``cls`` from its JSON form, naming the key path of a fault."""
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"{path or 'config'}: expected an object")
+    known = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        where = f"{path}.{key}" if path else key
+        if key not in known:
+            raise InvalidInputError(f"{where}: unknown key")
+        kwargs[key] = _field_from_plain(known[key], value, where)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a required field is missing, or a value is unusable
+        raise InvalidInputError(f"{path or 'config'}: {exc}") from None
+
+
+def _field_from_plain(f, value, where: str):
+    sub = f.default_factory
+    if sub in _PROFILE_KINDS.values() and isinstance(value, dict):
+        value = dict(value)
+        kind = value.pop("kind", "grouped")
+        if not (isinstance(kind, str) and kind in _PROFILE_KINDS):
+            raise InvalidInputError(f"{where}.kind: unknown profile kind {kind!r}")
+        sub = _PROFILE_KINDS[kind]
+    if is_dataclass(sub):
+        return _from_plain(sub, value, where)
+    if f.default is None:  # optional fields are checked by their dataclass
+        return tuple(value) if isinstance(value, list) else value
+    type_name = getattr(f.type, "__name__", f.type)
+    if type_name == "tuple":
+        if not isinstance(value, list):
+            raise InvalidInputError(f"{where}: expected list")
+        return tuple(value)
+    accepted = _SCALAR_TYPES.get(type_name, ())
+    if not isinstance(value, accepted) or (isinstance(value, bool) and type_name != "bool"):
+        raise InvalidInputError(f"{where}: expected {type_name}")
+    return value
 
 
 def desk_config(seed: int = 1, **overrides) -> ScenarioConfig:
@@ -242,14 +207,12 @@ class ResultsBundle:
     topology: Topology
     plan: OffloadPlan
     trace: OffloadTrace
-    allocation: PowerAllocation
     cost_joules: float
     cost_max_power_joules: float
     metrics: tuple
     final_accuracy: float
     audit: DivergenceReport | None
     versions: dict
-    wall_clock: float
 
 
 def _versions() -> dict:
@@ -349,7 +312,6 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
         A ``ResultsBundle``; its CSV and JSON projections are stable across
         repeated runs of the same config.
     """
-    started = time.perf_counter()
     _, topo = build_population(cfg)
     target = uniform_target(
         cfg.topology.num_servers, cfg.scheduler.gamma, cfg.data.num_classes
@@ -364,8 +326,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
         sched_cfg, topo, cfg.radio, substream(cfg.seed, "scheduler")
     )
     smap = assign_subcarriers(plan.pairs(), cfg.radio.subcarriers)
-    allocation = PowerAllocation.from_plan(plan)
-    cost = system_cost(plan, allocation.powers, topo, cfg.radio, smap)
+    cost = system_cost(plan, plan.powers(), topo, cfg.radio, smap)
     ceiling = {pair: cfg.radio.max_power for pair in plan.pairs()}
     cost_max = system_cost(plan, ceiling, topo, cfg.radio, smap)
     server_data = server_datasets_from_plan(cfg, topo, plan)
@@ -396,26 +357,21 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
         topology=topo,
         plan=plan,
         trace=trace,
-        allocation=allocation,
         cost_joules=cost,
         cost_max_power_joules=cost_max,
         metrics=tuple(metrics),
         final_accuracy=float(final_acc),
         audit=report,
         versions=_versions(),
-        wall_clock=time.perf_counter() - started,
     )
 
 
-def sweep(configs: Sequence[ScenarioConfig], jobs: int = 1) -> list:
-    """Run several scenarios, optionally in parallel.
+def sweep(configs: Sequence[ScenarioConfig]) -> list:
+    """Run several scenarios one after another.
 
     Results come back in input order. A failing scenario contributes an
-    error record instead of aborting its siblings, and the outputs do not
-    depend on the level of parallelism.
+    error record instead of aborting its siblings.
     """
-    if jobs < 1:
-        raise InvalidParameterError("jobs must be at least 1")
 
     def one(cfg: ScenarioConfig):
         try:
@@ -427,14 +383,19 @@ def sweep(configs: Sequence[ScenarioConfig], jobs: int = 1) -> list:
                 "config": cfg.to_dict(),
             }
 
-    if jobs == 1:
-        return [one(cfg) for cfg in configs]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, configs))
+    return [one(cfg) for cfg in configs]
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def resolve_out_dir(cfg: ScenarioConfig, override: str | None = None) -> Path:
@@ -444,57 +405,49 @@ def resolve_out_dir(cfg: ScenarioConfig, override: str | None = None) -> Path:
     return Path(chosen)
 
 
-def emit(bundle: ResultsBundle, out_dir, formats: Sequence[str] = ("csv", "json")) -> list:
+def emit(bundle: ResultsBundle, out_dir) -> list:
     """Write a bundle's CSV tables and JSON summary under ``out_dir``.
 
     Returns the list of written paths. Emission is pure projection: writing
     the same bundle twice produces byte-identical files.
     """
+    summary = {
+        "config": bundle.config,
+        "cost_joules": bundle.cost_joules,
+        "cost_max_power_joules": bundle.cost_max_power_joules,
+        "final_accuracy": bundle.final_accuracy,
+        "rounds": len(bundle.metrics),
+        "plan_size": len(bundle.plan.entries),
+        "audit": bundle.audit.to_dict() if bundle.audit else None,
+        "versions": bundle.versions,
+    }
+    files = {
+        "trace.csv": _csv(
+            TRACE_HEADER,
+            (
+                f"{r.round},{r.server},{_fmt(r.kl)},{r.total},{r.device}"
+                for r in bundle.trace.rows
+            ),
+        ),
+        "metrics.csv": _csv(
+            METRICS_HEADER,
+            (f"{m.round},{_fmt(m.global_loss)},{_fmt(m.accuracy)}" for m in bundle.metrics),
+        ),
+        "power.csv": _csv(
+            POWER_HEADER,
+            (
+                f"{e.device},{e.server},{e.subcarrier},{_fmt(e.power)},{_fmt(e.energy_joules)}"
+                for e in bundle.plan.entries
+            ),
+        ),
+        "plan.json": _json(bundle.plan.to_dict()),
+        "summary.json": _json(summary),
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in formats:
-        trace_path = out / "trace.csv"
-        lines = [TRACE_HEADER]
-        for r in bundle.trace.rows:
-            lines.append(f"{r.round},{r.server},{_fmt(r.kl)},{r.total},{r.device}")
-        trace_path.write_text("\n".join(lines) + "\n")
-        written.append(trace_path)
-
-        metrics_path = out / "metrics.csv"
-        lines = [METRICS_HEADER]
-        for m in bundle.metrics:
-            lines.append(f"{m.round},{_fmt(m.global_loss)},{_fmt(m.accuracy)}")
-        metrics_path.write_text("\n".join(lines) + "\n")
-        written.append(metrics_path)
-
-        power_path = out / "power.csv"
-        lines = [POWER_HEADER]
-        for e in bundle.plan.entries:
-            lines.append(
-                f"{e.device},{e.server},{e.subcarrier},"
-                f"{_fmt(e.power)},{_fmt(e.energy_joules)}"
-            )
-        power_path.write_text("\n".join(lines) + "\n")
-        written.append(power_path)
-    if "json" in formats:
-        plan_path = out / "plan.json"
-        plan_path.write_text(
-            json.dumps(bundle.plan.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        written.append(plan_path)
-
-        summary = {
-            "config": bundle.config,
-            "cost_joules": bundle.cost_joules,
-            "cost_max_power_joules": bundle.cost_max_power_joules,
-            "final_accuracy": bundle.final_accuracy,
-            "rounds": len(bundle.metrics),
-            "plan_size": len(bundle.plan.entries),
-            "audit": bundle.audit.to_dict() if bundle.audit else None,
-            "versions": bundle.versions,
-        }
-        summary_path = out / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        written.append(summary_path)
+    for name, text in files.items():
+        path = out / name
+        path.write_text(text)
+        written.append(path)
     return written

@@ -121,50 +121,6 @@ class Topology:
         s = self.servers[server_id]
         return math.dist(d.position, s.position)
 
-    def to_dict(self) -> dict:
-        return {
-            "cell_radius": self.cell_radius,
-            "servers": [
-                {"id": s.id, "x": s.position[0], "y": s.position[1]}
-                for s in self.servers
-            ],
-            "devices": [
-                {
-                    "id": d.id,
-                    "x": d.position[0],
-                    "y": d.position[1],
-                    "data_bits": d.data_bits,
-                    "home_server": d.home_server,
-                    "counts": [int(c) for c in d.dist.counts],
-                }
-                for d in self.devices
-            ],
-            "gains": self.gains.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "Topology":
-        servers = tuple(
-            Server(int(s["id"]), (float(s["x"]), float(s["y"])))
-            for s in payload["servers"]
-        )
-        devices = tuple(
-            Device(
-                int(d["id"]),
-                (float(d["x"]), float(d["y"])),
-                int(d["data_bits"]),
-                LabelDistribution(np.asarray(d["counts"], dtype=np.int64)),
-                int(d["home_server"]),
-            )
-            for d in payload["devices"]
-        )
-        return Topology(
-            servers,
-            devices,
-            float(payload["cell_radius"]),
-            np.asarray(payload["gains"], dtype=np.float64),
-        )
-
 
 def channel_gain(
     distance: float,
@@ -448,24 +404,6 @@ class OffloadPlan:
                 for e in self.entries
             ]
         }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "OffloadPlan":
-        return OffloadPlan(
-            tuple(
-                TransferRecord(
-                    device=int(e["device"]),
-                    server=int(e["server"]),
-                    subcarrier=int(e["subcarrier"]),
-                    power=float(e["power"]),
-                    sinr=float(e["sinr"]),
-                    rate=float(e["rate"]),
-                    transfer_seconds=float(e["transfer_seconds"]),
-                    energy_joules=float(e["energy_joules"]),
-                )
-                for e in payload["entries"]
-            )
-        )
 
 
 def system_cost(

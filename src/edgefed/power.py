@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnknownPairError
+from .errors import InvalidParameterError
 from .network import (
     RadioConfig,
     SubcarrierMap,
@@ -239,26 +239,6 @@ def quasiconvexity_probe(
         if prefix[j - 1] < values[j] - tol and suffix[j + 1] < values[j] - tol:
             bad.append(j)
     return ProbeReport(unimodal=not bad, violations=tuple(bad), grid_size=num_samples)
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Solved transmit powers and energies keyed by (device, server)."""
-
-    powers: Mapping
-    energies: Mapping
-
-    @staticmethod
-    def from_plan(plan) -> "PowerAllocation":
-        powers = {(e.device, e.server): e.power for e in plan.entries}
-        energies = {(e.device, e.server): e.energy_joules for e in plan.entries}
-        return PowerAllocation(powers, energies)
-
-    def power_for(self, pair) -> float:
-        try:
-            return self.powers[pair]
-        except KeyError:
-            raise UnknownPairError(f"no power allocated for pair {pair}") from None
 
 
 def solve_pair(

@@ -1,8 +1,6 @@
-"""Softmax model, local updates, aggregation, the FL loop, and IDX loading."""
+"""Softmax model, local updates, aggregation, and the FL loop."""
 
-import gzip
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -29,9 +27,6 @@ from edgefed.federated import (
     evaluate_accuracy,
     global_loss,
     iid_counterpart,
-    load_idx_dataset,
-    load_idx_images,
-    load_idx_labels,
     local_update,
     loss_and_grad,
     run_fl,
@@ -320,62 +315,3 @@ def test_paired_size_mismatch_is_rejected():
         run_paired(a, b, TrainConfig())
     with pytest.raises(InvalidComparisonError):
         run_paired(a, a, TrainConfig(batch_size=8))
-
-
-# ----------------------------------------------------------------- idx files
-
-
-def _write_idx_pair(tmp_path, images, labels, gz=False):
-    n, rows, cols = images.shape
-    img_bytes = struct.pack(">iiii", 2051, n, rows, cols) + images.tobytes()
-    lab_bytes = struct.pack(">ii", 2049, n) + labels.tobytes()
-    suffix = ".gz" if gz else ""
-    ip = tmp_path / f"images-idx3-ubyte{suffix}"
-    lp = tmp_path / f"labels-idx1-ubyte{suffix}"
-    if gz:
-        ip.write_bytes(gzip.compress(img_bytes))
-        lp.write_bytes(gzip.compress(lab_bytes))
-    else:
-        ip.write_bytes(img_bytes)
-        lp.write_bytes(lab_bytes)
-    return ip, lp
-
-
-def test_idx_round_trip(tmp_path):
-    rng = default_rng(61)
-    images = rng.integers(0, 256, size=(7, 4, 3), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=7, dtype=np.uint8)
-    for gz in (False, True):
-        ip, lp = _write_idx_pair(tmp_path, images, labels, gz=gz)
-        ds = load_idx_dataset(ip, lp)
-        assert len(ds) == 7
-        assert ds.feat_dim == 12
-        assert np.array_equal(ds.labels, labels.astype(np.int64))
-        assert np.allclose(ds.features, images.reshape(7, 12) / 255.0)
-
-
-def test_idx_rejects_bad_files(tmp_path):
-    rng = default_rng(62)
-    images = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=3, dtype=np.uint8)
-    ip, lp = _write_idx_pair(tmp_path, images, labels)
-    # swap the two files: magics no longer match
-    with pytest.raises(InvalidInputError):
-        load_idx_images(lp)
-    with pytest.raises(InvalidInputError):
-        load_idx_labels(ip)
-    truncated = tmp_path / "short-idx3-ubyte"
-    truncated.write_bytes(struct.pack(">iiii", 2051, 5, 2, 2) + b"\x00" * 3)
-    with pytest.raises(InvalidInputError):
-        load_idx_images(truncated)
-
-
-def test_idx_count_mismatch(tmp_path):
-    rng = default_rng(63)
-    images = rng.integers(0, 256, size=(3, 2, 2), dtype=np.uint8)
-    ip, _ = _write_idx_pair(tmp_path, images, rng.integers(0, 10, size=3, dtype=np.uint8))
-    short = tmp_path / "short"
-    short.mkdir()
-    _, lp = _write_idx_pair(short, images[:2], rng.integers(0, 10, size=2, dtype=np.uint8))
-    with pytest.raises(DimensionMismatchError):
-        load_idx_dataset(ip, lp)
