@@ -40,7 +40,6 @@ from .federated import (
     TrainConfig,
     aggregate,
     evaluate_accuracy,
-    global_loss,
     iid_counterpart,
     local_update,
     loss_and_grad,

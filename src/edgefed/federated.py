@@ -205,33 +205,6 @@ def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParam
     return ModelParams(w, b)
 
 
-def global_loss(
-    models, datasets: Sequence[Dataset], sizes: Sequence[int] | None = None
-) -> float:
-    """Size-weighted mean of per-server losses.
-
-    ``models`` may be a single ``ModelParams`` (evaluated on every dataset,
-    in which case the result equals the loss of that model on the
-    concatenation of the datasets) or one model per dataset.
-    """
-    if sizes is None:
-        sizes = [len(d) for d in datasets]
-    if len(sizes) != len(datasets):
-        raise DimensionMismatchError("one size per dataset required")
-    total = float(sum(sizes))
-    if total <= 0:
-        raise InvalidInputError("total data size must be positive")
-    if isinstance(models, ModelParams):
-        models = [models] * len(datasets)
-    if len(models) != len(datasets):
-        raise DimensionMismatchError("one model per dataset required")
-    acc = 0.0
-    for m, d, s in zip(models, datasets, sizes):
-        loss, _ = loss_and_grad(m, d)
-        acc += (s / total) * loss
-    return acc
-
-
 def run_fl(
     server_datasets: Sequence[Dataset],
     cfg: TrainConfig,

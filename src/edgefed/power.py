@@ -1,11 +1,13 @@
-"""Per-pair transmit-power allocation by quasi-convex bisection.
+"""Per-pair transmit-power allocation at the transmit floor.
 
 Interference from co-channel transfers is folded into an effective noise
 floor using the interferers' rated power, which decouples the pairs: each
 transfer then minimises its own energy ``epsilon * p / log2(1 + kappa * p)``
-subject to a box constraint on p. The objective's sublevel sets are
-intervals, so bisection on the objective value with a convex feasibility
-subproblem converges to the optimum.
+subject to a box constraint on p. That energy is strictly increasing in p
+(``log2(1 + x) / x`` falls for x > 0), so the optimum is the box floor
+``p_min`` and needs no search. A static circuit-power term added to p would
+create an interior optimum, which Dinkelbach's (1967) fractional programming
+would then find.
 """
 
 from __future__ import annotations
@@ -28,12 +30,9 @@ from .network import (
 )
 
 # Transmit floor in watts. The energy objective is strictly increasing in p,
-# so the optimum sits on the lower box edge; a zero floor would push the
-# solver toward p = 0 and an unbounded transfer time.
+# so every pair is priced here; a zero floor would mean p = 0 and an
+# unbounded transfer time.
 DEFAULT_P_MIN = 1e-3
-
-_GOLDEN_TOL = 1e-12
-_BRACKET_GUARD = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,11 +76,7 @@ def effective_interference(
 
 
 def pair_params(
-    pair,
-    smap: SubcarrierMap,
-    topo: Topology,
-    cfg: RadioConfig,
-    p_min: float = DEFAULT_P_MIN,
+    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
 ) -> PairParams:
     """Build the decoupled objective coefficients for one planned pair."""
     u, s = pair
@@ -92,7 +87,7 @@ def pair_params(
     return PairParams(
         epsilon=bits / cfg.subcarrier_bandwidth,
         kappa=topo.gain(u, s) / noise_floor,
-        p_min=p_min,
+        p_min=DEFAULT_P_MIN,
         p_max=cfg.max_power,
     )
 
@@ -108,96 +103,34 @@ def feasibility(params: PairParams, p: float, t: float) -> float:
     """Convex surrogate ``epsilon * p - t * log2(1 + kappa * p)``.
 
     Non-positive at some p exactly when the objective value t is achievable.
+    No pipeline path calls it; it stays because the benchmark's tracer wraps
+    it by name.
     """
     if p <= 0:
         raise InvalidParameterError("power must be positive")
     return params.epsilon * p - t * math.log2(1.0 + params.kappa * p)
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float, tol: float):
-    """Golden-section minimisation over [lo, hi]; returns (argmin, min)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    x = c if fc <= fd else d
-    fx = min(fc, fd)
-    flo, fhi = fn(lo), fn(hi)
-    if flo <= fx:
-        x, fx = lo, flo
-    if fhi < fx:
-        x, fx = hi, fhi
-    return x, fx
-
-
 @dataclass(frozen=True)
 class PowerResult:
-    """Outcome of one bisection solve."""
+    """Power chosen for one pair and its transfer energy.
+
+    ``iterations`` is always 0; it stays only because the benchmark's tracer
+    reads it by name.
+    """
 
     power: float
     value: float
-    iterations: int
-    bracket: tuple
+    iterations: int = 0
 
 
-def allocate_power(params: PairParams, tol: float | None = None) -> PowerResult:
-    """Minimise transfer energy over the power box by value bisection.
+def allocate_power(params: PairParams) -> PowerResult:
+    """Price one pair at the transmit floor, the exact energy minimiser.
 
-    The search brackets the optimal objective between an analytic lower
-    bound just under the p -> 0 infimum ``epsilon * ln2 / kappa`` and the
-    energy at the transmit floor. Each bisection step asks whether a
-    candidate value t is achievable by minimising the convex feasibility
-    surrogate over the box with golden-section search.
-
-    Args:
-        params: decoupled objective coefficients.
-        tol: absolute stopping width on the objective value; defaults to
-            1e-9 of the initial bracket width.
-
-    Returns:
-        ``PowerResult`` with the best feasible power, its exact energy, the
-        bisection step count, and the final bracket.
+    ``epsilon * p / log2(1 + kappa * p)`` is strictly increasing in p, so the
+    minimum over ``[p_min, p_max]`` sits at ``p_min``.
     """
-    lower = params.epsilon * math.log(2.0) / params.kappa * _BRACKET_GUARD
-    upper = objective(params, params.p_min)
-    width = upper - lower
-    if tol is None:
-        tol = 1e-9 * width
-    if tol <= 0:
-        raise InvalidParameterError("tolerance must be positive")
-    best_p = params.p_min
-    lo, hi = lower, upper
-    iterations = 0
-    while (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        p_at, phi_min = _golden_min(
-            lambda p: feasibility(params, p, mid),
-            params.p_min,
-            params.p_max,
-            _GOLDEN_TOL,
-        )
-        if phi_min <= 0.0:
-            hi = mid
-            best_p = p_at
-        else:
-            lo = mid
-        iterations += 1
-    return PowerResult(
-        power=best_p,
-        value=objective(params, best_p),
-        iterations=iterations,
-        bracket=(lo, hi),
-    )
+    return PowerResult(power=params.p_min, value=objective(params, params.p_min))
 
 
 @dataclass(frozen=True)
@@ -242,17 +175,11 @@ def quasiconvexity_probe(
 
 
 def solve_pair(
-    pair,
-    smap: SubcarrierMap,
-    topo: Topology,
-    cfg: RadioConfig,
-    *,
-    p_min: float = DEFAULT_P_MIN,
-    tol: float | None = None,
+    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
 ) -> TransferRecord:
     """Allocate power for one pair and compute its radio record."""
-    params = pair_params(pair, smap, topo, cfg, p_min=p_min)
-    result = allocate_power(params, tol)
+    params = pair_params(pair, smap, topo, cfg)
+    result = allocate_power(params)
     u, s = pair
     snr = sinr(pair, result.power, smap, topo, cfg)
     r = rate(snr, cfg)

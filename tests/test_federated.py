@@ -25,7 +25,6 @@ from edgefed.federated import (
     TrainConfig,
     aggregate,
     evaluate_accuracy,
-    global_loss,
     iid_counterpart,
     local_update,
     loss_and_grad,
@@ -186,30 +185,6 @@ def test_aggregate_validation():
         aggregate([w, ModelParams.zeros(3, 2)], [1, 1])
     with pytest.raises(DimensionMismatchError):
         aggregate([w], [1, 2])
-
-
-# -------------------------------------------------------------- global loss
-
-
-def test_global_loss_single_server():
-    ds = _dataset(22)
-    w = _random_model(23)
-    assert global_loss(w, [ds]) == loss_and_grad(w, ds)[0]
-
-
-def test_global_loss_equal_sizes_is_plain_mean():
-    parts = [_dataset(s, n=30) for s in (24, 25, 26)]
-    w = _random_model(27)
-    expected = np.mean([loss_and_grad(w, d)[0] for d in parts])
-    assert math.isclose(global_loss(w, parts), float(expected), rel_tol=1e-12)
-
-
-def test_global_loss_equals_concatenated_loss():
-    # mean of means with size weights == pooled mean
-    parts = [_dataset(s, n=20 + 10 * i) for i, s in enumerate((28, 29, 30))]
-    w = _random_model(31)
-    pooled, _ = loss_and_grad(w, Dataset.concat(parts))
-    assert math.isclose(global_loss(w, parts), pooled, rel_tol=1e-12)
 
 
 # ------------------------------------------------------------------ fl loop

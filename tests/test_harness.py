@@ -456,10 +456,12 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
     assert layers["power.pairs_priced"] == len(bundle.plan.entries)
     for name in (
         "scheduler.kl_evals",
-        "power.bisection_iters",
         "power.objective_evals",
         "federated.grad_passes",
         "divergence.grad_passes",
         "harness.emit_bytes",
     ):
         assert layers[name] > 0, name
+    assert layers["power.bisection_iters"] == 0
+    assert layers["power.objective_evals"] == layers["power.pairs_priced"]
+    assert layers["power.at_floor_share"] == 1.0
