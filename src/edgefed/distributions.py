@@ -181,7 +181,7 @@ class Dataset:
 
     Attributes:
         features: float matrix of shape (num_samples, feat_dim).
-        labels: integer class label per row.
+        labels: non-negative integer class label per row.
     """
 
     features: np.ndarray
@@ -194,6 +194,9 @@ class Dataset:
             raise InvalidInputError("features must be a 2-d matrix")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise DimensionMismatchError("one label per feature row required")
+        if labels.size and labels.min() < 0:
+            bad = np.unique(labels[labels < 0]).tolist()
+            raise InvalidInputError(f"labels must be non-negative, got {bad}")
         object.__setattr__(self, "features", _frozen_array(feats, np.float64))
         object.__setattr__(self, "labels", _frozen_array(labels, np.int64))
 

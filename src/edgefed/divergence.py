@@ -150,6 +150,11 @@ def measure_gradient_divergences(
 ) -> np.ndarray:
     """Per-snapshot, per-server gradient divergences against the pooled data.
 
+    Each entry equals ``gradient_divergence(w, d, union)`` bit for bit, but
+    the pooled gradient is computed once per snapshot rather than once per
+    server: a snapshot costs one pass over the union plus one pass over each
+    server, 2N rows for a union of N samples.
+
     Returns a matrix of shape (len(snapshots), num_servers).
     """
     if len(server_datasets) == 0:
@@ -157,8 +162,10 @@ def measure_gradient_divergences(
     union = Dataset.concat(list(server_datasets))
     out = np.empty((len(snapshots), len(server_datasets)))
     for i, w in enumerate(snapshots):
+        _, g_global = loss_and_grad(w, union)
         for s, d in enumerate(server_datasets):
-            out[i, s] = gradient_divergence(w, d, union)
+            _, g_server = loss_and_grad(w, d)
+            out[i, s] = g_server.distance(g_global)
     return out
 
 

@@ -45,6 +45,21 @@ class ModelParams:
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "bias", _frozen(b))
 
+    @classmethod
+    def _wrap(cls, weights: np.ndarray, bias: np.ndarray) -> "ModelParams":
+        """Freeze fresh float64 arrays in place, skipping the checks and copies.
+
+        Only for arrays this module has just computed and no caller can
+        reach, so marking them read-only is all the public constructor's
+        copy would add.
+        """
+        weights.flags.writeable = False
+        bias.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "weights", weights)
+        object.__setattr__(out, "bias", bias)
+        return out
+
     @property
     def num_classes(self) -> int:
         return int(self.weights.shape[0])
@@ -131,19 +146,26 @@ def loss_and_grad(params: ModelParams, dataset: Dataset):
     y = dataset.labels
     if np.any(y >= params.num_classes):
         raise InvalidInputError("label outside the model's class range")
+    rows = np.arange(n)
+    # One n x C buffer holds the shifted logits, then their exponentials,
+    # then the softmax minus the one-hot labels. Each in-place step computes
+    # the same values as the out-of-place formula, so results match it bit
+    # for bit; the reductions are the ones .mean() runs.
     z = _logits(params, x)
-    z_shift = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(z_shift)
-    denom = expz.sum(axis=1, keepdims=True)
-    log_probs = z_shift - np.log(denom)
-    loss = float(-log_probs[np.arange(n), y].mean())
-    probs = expz / denom
-    probs[np.arange(n), y] -= 1.0
-    grad_w = probs.T @ x / n
-    grad_b = probs.mean(axis=0)
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    picked = z[rows, y]
+    np.exp(z, out=z)
+    denom = np.add.reduce(z, axis=1, keepdims=True)
+    loss = float(np.add.reduce(np.log(denom[:, 0]) - picked) / n)
+    z /= denom
+    z[rows, y] -= 1.0
+    grad_w = z.T @ x
+    grad_w /= n
+    grad_b = np.add.reduce(z, axis=0)
+    grad_b /= n
     if not (np.isfinite(loss) and np.all(np.isfinite(grad_w))):
         raise NumericalFailureError("non-finite loss or gradient")
-    return loss, ModelParams(grad_w, grad_b)
+    return loss, ModelParams._wrap(grad_w, grad_b)
 
 
 def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
@@ -176,7 +198,7 @@ def local_update(
             idx = rng.choice(len(dataset), size=cfg.batch_size, replace=False)
             batch = Dataset(dataset.features[idx], dataset.labels[idx])
         _, grad = loss_and_grad(current, batch)
-        current = ModelParams(
+        current = ModelParams._wrap(
             current.weights - cfg.phi * grad.weights,
             current.bias - cfg.phi * grad.bias,
         )

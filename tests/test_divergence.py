@@ -32,6 +32,7 @@ from edgefed.errors import (
 from edgefed.federated import (
     ModelParams,
     TrainConfig,
+    iid_counterpart,
     local_update,
     loss_and_grad,
     run_paired,
@@ -140,11 +141,24 @@ def test_gamma_rank_matches_kl_rank():
 
 
 def test_measure_gradient_divergences_shape():
-    parts = [_toy_dataset(s) for s in range(4)]
-    snaps = [ModelParams.zeros(3, 5), ModelParams(np.ones((3, 5)) * 0.1, np.zeros(3))]
+    # Skewed servers of unequal size, snapshots from a real paired run. The
+    # one-pass-per-snapshot matrix must equal the per-pair oracle exactly,
+    # which a pooled gradient rebuilt as the size-weighted mean of the server
+    # gradients (equal only in exact arithmetic) does not.
+    model = separated_feature_model(3, 5, 3.0, 1.0)
+    rng = default_rng(21)
+    hists = ([30, 5, 0], [2, 40, 9], [0, 3, 17], [11, 11, 12])
+    parts = [materialize(LabelDistribution(h), model, rng) for h in hists]
+    cfg = TrainConfig(phi=0.05, local_steps=2, rounds=4)
+    paired = run_paired(parts, iid_counterpart(parts, default_rng(22)), cfg)
+    snaps = paired.left_params[: cfg.rounds]
     mat = measure_gradient_divergences(snaps, parts)
-    assert mat.shape == (2, 4)
-    assert np.all(mat >= 0)
+    assert mat.shape == (4, 4)
+    union = Dataset.concat(parts)
+    for i, w in enumerate(snaps):
+        for s, d in enumerate(parts):
+            assert mat[i, s] == gradient_divergence(w, d, union), (i, s)
+    assert np.all(mat > 0)
 
 
 # ---------------------------------------------------------------- smoothness

@@ -103,6 +103,62 @@ def test_label_out_of_range_is_rejected():
         loss_and_grad(ModelParams.zeros(2, 2), ds)
 
 
+def test_negative_label_is_rejected():
+    # Indexing would score label -1 as the last class without this check.
+    with pytest.raises(InvalidInputError, match=r"\[-3, -1\]"):
+        Dataset(np.ones((4, 2)), np.array([0, -1, 2, -3]))
+    assert len(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))) == 0
+
+
+def _reference_loss_and_grad(params, dataset):
+    """The out-of-place softmax formula that ``loss_and_grad`` must match."""
+    n = len(dataset)
+    x, y = dataset.features, dataset.labels
+    z = x @ params.weights.T + params.bias
+    z_shift = z - z.max(axis=1, keepdims=True)
+    expz = np.exp(z_shift)
+    denom = expz.sum(axis=1, keepdims=True)
+    log_probs = z_shift - np.log(denom)
+    loss = float(-log_probs[np.arange(n), y].mean())
+    probs = expz / denom
+    probs[np.arange(n), y] -= 1.0
+    return loss, probs.T @ x / n, probs.mean(axis=0)
+
+
+def test_loss_and_grad_matches_reference_bit_for_bit():
+    rng = default_rng(40)
+    cases = [(_dataset(41), _random_model(42))]
+    for n, scale in ((1, 1.0), (1, 100.0), (7, 100.0), (250, 100.0), (90, 0.3)):
+        # labels drawn from 3 of 5 classes, so two classes have no samples
+        ds = Dataset(rng.normal(size=(n, 6)), rng.integers(0, 3, size=n))
+        cases.append((ds, _random_model(int(rng.integers(1 << 30)), 5, 6, scale)))
+    for ds, w in cases:
+        loss, grad = loss_and_grad(w, ds)
+        ref_loss, ref_w, ref_b = _reference_loss_and_grad(w, ds)
+        assert loss == ref_loss
+        assert np.array_equal(grad.weights, ref_w)
+        assert np.array_equal(grad.bias, ref_b)
+
+
+def test_fresh_results_are_read_only_and_unshared():
+    ds = _dataset(43)
+    w = _random_model(44)
+    _, grad = loss_and_grad(w, ds)
+    stepped = local_update(w, ds, TrainConfig(phi=0.05, local_steps=2, rounds=1))
+    for out in (grad, stepped):
+        for arr in (out.weights, out.bias):
+            assert not arr.flags.writeable
+            for source in (w.weights, w.bias, ds.features):
+                assert not np.shares_memory(arr, source)
+    # The public constructor still copies what the caller passes.
+    weights, bias = np.ones((4, 6)), np.zeros(4)
+    model = ModelParams(weights, bias)
+    assert weights.flags.writeable and bias.flags.writeable
+    weights[0, 0] = 7.0
+    bias[0] = 7.0
+    assert model.weights[0, 0] == 1.0 and model.bias[0] == 0.0
+
+
 # ------------------------------------------------------------- local update
 
 

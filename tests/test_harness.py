@@ -444,7 +444,8 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
     tracer.install(counters=True)
     try:
         # Called through the module, as the benchmark does, so the wrappers apply.
-        bundle = harness.run_scenario(_tiny_config(seed=5))
+        cfg = _tiny_config(seed=5)
+        bundle = harness.run_scenario(cfg)
         harness.emit(bundle, tmp_path)
     finally:
         tracer.remove()
@@ -465,3 +466,13 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
     assert layers["power.bisection_iters"] == 0
     assert layers["power.objective_evals"] == layers["power.pairs_priced"]
     assert layers["power.at_floor_share"] == 1.0
+    # Exact gradient-pass counts. The audit takes one pooled pass plus one
+    # pass per server at each start-of-round snapshot; training takes
+    # local_steps passes per server and round plus one loss pass per server
+    # for metrics.csv, and the paired run trains both arms.
+    servers = cfg.topology.num_servers
+    rounds, steps = cfg.train.rounds, cfg.train.local_steps
+    assert layers["divergence.grad_passes"] == rounds * (servers + 1)
+    assert layers["federated.grad_passes"] == (
+        rounds * servers * (steps + 1) + 2 * rounds * servers * steps
+    )
