@@ -54,6 +54,7 @@ from .network import (
     TransferRecord,
     assign_subcarriers,
     channel_gain,
+    effective_interference,
     place_topology,
     rate,
     sinr,
@@ -64,7 +65,6 @@ from .power import (
     PairParams,
     PowerResult,
     allocate_power,
-    effective_interference,
     objective,
     pair_params,
     quasiconvexity_probe,
@@ -74,7 +74,6 @@ from .scheduler import (
     OffloadTrace,
     Policy,
     SchedulerConfig,
-    min_kl_step,
     run_scheduler,
     serviceable_set,
     uniform_target,
@@ -85,7 +84,6 @@ from .harness import (
     ScenarioConfig,
     SchedulerParams,
     TopologyParams,
-    TrainParams,
     build_population,
     desk_config,
     emit,

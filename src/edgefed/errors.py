@@ -33,7 +33,3 @@ class UnknownPairError(SimulationError, LookupError):
 
 class UnreachableDeviceError(SimulationError, ValueError):
     """A transfer was requested over a link with zero rate."""
-
-
-class PoolExhaustedError(SimulationError):
-    """A scheduling step was requested but no candidate devices remain."""

@@ -88,6 +88,9 @@ class ModelParams:
 class TrainConfig:
     """Hyperparameters for local updates and the federated loop.
 
+    This is also a scenario's ``train`` section; its defaults are the
+    scenario defaults.
+
     Attributes:
         phi: learning-rate for each local gradient step.
         local_steps: sequential gradient steps per round on each server.
@@ -97,7 +100,7 @@ class TrainConfig:
 
     phi: float = 0.05
     local_steps: int = 1
-    rounds: int = 10
+    rounds: int = 30
     batch_size: int | None = None
 
     def __post_init__(self):

@@ -92,14 +92,6 @@ class SchedulerParams:
 
 
 @dataclass(frozen=True)
-class TrainParams:
-    phi: float = 0.05
-    local_steps: int = 1
-    rounds: int = 30
-    batch_size: int | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run depends on."""
 
@@ -108,7 +100,7 @@ class ScenarioConfig:
     radio: RadioConfig = field(default_factory=RadioConfig)
     data: DataParams = field(default_factory=DataParams)
     scheduler: SchedulerParams = field(default_factory=SchedulerParams)
-    train: TrainParams = field(default_factory=TrainParams)
+    train: TrainConfig = field(default_factory=TrainConfig)
     audit: bool = True
     tags: tuple = ()
     out_dir: str | None = None
@@ -158,7 +150,7 @@ def _from_plain(cls, raw, path: str):
         kwargs[key] = _field_from_plain(known[key], value, where)
     try:
         return cls(**kwargs)
-    except TypeError as exc:  # a required field is missing, or a value is unusable
+    except (TypeError, ValueError) as exc:  # a field is missing or out of range
         raise InvalidInputError(f"{path or 'config'}: {exc}") from None
 
 
@@ -172,9 +164,11 @@ def _field_from_plain(f, value, where: str):
         sub = _PROFILE_KINDS[kind]
     if is_dataclass(sub):
         return _from_plain(sub, value, where)
-    if f.default is None:  # optional fields are checked by their dataclass
-        return tuple(value) if isinstance(value, list) else value
     type_name = getattr(f.type, "__name__", f.type)
+    if type_name.endswith(" | None"):  # optional: null, or whatever X accepts
+        if value is None:
+            return None
+        type_name = type_name.removesuffix(" | None")
     if type_name == "tuple":
         if not isinstance(value, list):
             raise InvalidInputError(f"{where}: expected list")
@@ -244,6 +238,15 @@ def build_population(cfg: ScenarioConfig):
     return dists, topo
 
 
+def _feature_model(cfg: ScenarioConfig):
+    return separated_feature_model(
+        cfg.data.num_classes,
+        cfg.data.feat_dim,
+        cfg.data.separation,
+        cfg.data.feature_std,
+    )
+
+
 def server_datasets_from_plan(
     cfg: ScenarioConfig, topo: Topology, plan: OffloadPlan
 ) -> list:
@@ -252,12 +255,7 @@ def server_datasets_from_plan(
     Device features are drawn from a stream keyed by device id, so the same
     device carries the same samples no matter which policy selected it.
     """
-    model = separated_feature_model(
-        cfg.data.num_classes,
-        cfg.data.feat_dim,
-        cfg.data.separation,
-        cfg.data.feature_std,
-    )
+    model = _feature_model(cfg)
     by_server: dict = {}
     for e in plan.entries:
         dev = topo.device(e.device)
@@ -277,12 +275,7 @@ def iid_reference(cfg: ScenarioConfig, sizes, rng) -> list:
     comparisons, as opposed to ``iid_counterpart`` which reshuffles an
     existing capture.
     """
-    model = separated_feature_model(
-        cfg.data.num_classes,
-        cfg.data.feat_dim,
-        cfg.data.separation,
-        cfg.data.feature_std,
-    )
+    model = _feature_model(cfg)
     out = []
     for n in sizes:
         hist = uniform_distribution(cfg.data.num_classes, int(n))
@@ -292,12 +285,7 @@ def iid_reference(cfg: ScenarioConfig, sizes, rng) -> list:
 
 def evaluation_set(cfg: ScenarioConfig) -> Dataset:
     """Held-out, label-balanced dataset drawn from the scenario's eval stream."""
-    model = separated_feature_model(
-        cfg.data.num_classes,
-        cfg.data.feat_dim,
-        cfg.data.separation,
-        cfg.data.feature_std,
-    )
+    model = _feature_model(cfg)
     hist = uniform_distribution(
         cfg.data.num_classes,
         cfg.data.num_classes * cfg.data.eval_samples_per_class,
@@ -325,31 +313,22 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
     plan, trace = run_scheduler(
         sched_cfg, topo, cfg.radio, substream(cfg.seed, "scheduler")
     )
+    # Left to right, as ``system_cost`` adds: ``sum`` compensates from 3.12 on.
+    cost = 0.0
+    for e in plan.entries:
+        cost += e.energy_joules
     smap = assign_subcarriers(plan.pairs(), cfg.radio.subcarriers)
-    cost = system_cost(plan, plan.powers(), topo, cfg.radio, smap)
     ceiling = {pair: cfg.radio.max_power for pair in plan.pairs()}
     cost_max = system_cost(plan, ceiling, topo, cfg.radio, smap)
     server_data = server_datasets_from_plan(cfg, topo, plan)
     eval_set = evaluation_set(cfg)
-    train_cfg = TrainConfig(
-        phi=cfg.train.phi,
-        local_steps=cfg.train.local_steps,
-        rounds=cfg.train.rounds,
-        batch_size=cfg.train.batch_size,
-    )
     metrics, final_model = run_fl(
-        server_data, train_cfg, eval_set, rng=substream(cfg.seed, "training")
+        server_data, cfg.train, eval_set, rng=substream(cfg.seed, "training")
     )
     report = None
     if cfg.audit:
-        audit_cfg = TrainConfig(
-            phi=cfg.train.phi,
-            local_steps=cfg.train.local_steps,
-            rounds=cfg.train.rounds,
-            batch_size=None,
-        )
         twin = iid_counterpart(server_data, substream(cfg.seed, "iid"))
-        paired = run_paired(server_data, twin, audit_cfg)
+        paired = run_paired(server_data, twin, replace(cfg.train, batch_size=None))
         report = audit_drift_bound(paired, server_data)
     final_acc = metrics[-1].accuracy if metrics else float("nan")
     return ResultsBundle(

@@ -305,32 +305,37 @@ def assign_subcarriers(pairs: Sequence, num_subcarriers: int) -> SubcarrierMap:
     return SubcarrierMap(dict(assignment), frozen)
 
 
+def effective_interference(
+    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
+) -> float:
+    """Noise plus the received power of every co-channel transfer at rated power.
+
+    The interferers are summed from 0.0 and the noise is added last; SINR
+    values depend on that order bit for bit.
+    """
+    u, s = pair
+    interference = 0.0
+    for v, _sv in smap.cochannel[smap.subcarrier(pair)]:
+        if v != u:
+            interference += cfg.rated_power * topo.gain(v, s)
+    return cfg.noise_power + interference
+
+
 def sinr(
     pair,
     power: float,
     smap: SubcarrierMap,
     topo: Topology,
     cfg: RadioConfig,
-    powers: Mapping | None = None,
 ) -> float:
     """Signal-to-interference-plus-noise ratio of one transfer.
 
-    Interference sums the received power of every co-channel transfer at
-    this pair's server. Interferer transmit powers come from ``powers`` when
-    given and fall back to the rated power otherwise.
+    Every co-channel transfer interferes at the rated power.
     """
     if power < 0:
         raise InvalidParameterError("transmit power must be non-negative")
     u, s = pair
-    k = smap.subcarrier(pair)
-    own = topo.gain(u, s) * power
-    interference = 0.0
-    for v, sv in smap.cochannel[k]:
-        if v == u:
-            continue
-        p_v = cfg.rated_power if powers is None else powers.get((v, sv), cfg.rated_power)
-        interference += p_v * topo.gain(v, s)
-    return own / (cfg.noise_power + interference)
+    return topo.gain(u, s) * power / effective_interference(pair, smap, topo, cfg)
 
 
 def rate(sinr_value: float, cfg: RadioConfig) -> float:

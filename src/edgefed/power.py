@@ -1,9 +1,10 @@
 """Per-pair transmit-power allocation at the transmit floor.
 
 Interference from co-channel transfers is folded into an effective noise
-floor using the interferers' rated power, which decouples the pairs: each
-transfer then minimises its own energy ``epsilon * p / log2(1 + kappa * p)``
-subject to a box constraint on p. That energy is strictly increasing in p
+floor, ``network.effective_interference``, which prices the interferers at
+their rated power and so decouples the pairs: each transfer then minimises
+its own energy ``epsilon * p / log2(1 + kappa * p)`` subject to a box
+constraint on p. That energy is strictly increasing in p
 (``log2(1 + x) / x`` falls for x > 0), so the optimum is the box floor
 ``p_min`` and needs no search. A static circuit-power term added to p would
 create an interior optimum, which Dinkelbach's (1967) fractional programming
@@ -24,6 +25,7 @@ from .network import (
     SubcarrierMap,
     Topology,
     TransferRecord,
+    effective_interference,
     rate,
     sinr,
     transfer_time,
@@ -59,20 +61,6 @@ class PairParams:
             raise InvalidParameterError("kappa must be positive")
         if not (0 < self.p_min < self.p_max):
             raise InvalidParameterError("need 0 < p_min < p_max")
-
-
-def effective_interference(
-    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
-) -> float:
-    """Noise floor seen by one pair with co-channel users at rated power."""
-    u, s = pair
-    k = smap.subcarrier(pair)
-    acc = cfg.noise_power
-    for v, _sv in smap.cochannel[k]:
-        if v == u:
-            continue
-        acc += cfg.rated_power * topo.gain(v, s)
-    return acc
 
 
 def pair_params(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import LabelDistribution, normalize, uniform_distribution
 from .divergence import complement, kl
-from .errors import InvalidParameterError, PoolExhaustedError
+from .errors import InvalidParameterError
 from .network import (
     OffloadPlan,
     RadioConfig,
@@ -147,14 +147,6 @@ def serviceable_set(server_id: int, topo: Topology, taken=frozenset()) -> list:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """Outcome of one selection step."""
-
-    device: int
-    merged: LabelDistribution
-
-
 def _candidate_probs(ids: Sequence[int], dists: Mapping) -> np.ndarray:
     """Smoothed label distributions of ``ids``, one row per device, in order."""
     return np.array([normalize(dists[u]).probs for u in ids])
@@ -174,33 +166,11 @@ def _kl_scores(
     return np.maximum(np.sum(probs * np.log(probs / demand), axis=1), 0.0)
 
 
-def min_kl_step(
-    server_id: int,
-    candidates: Sequence[int],
-    dists: Mapping,
-    server_dist: LabelDistribution,
-    target: LabelDistribution,
-) -> StepResult:
-    """Pick the candidate closest in KL to the server's remaining demand.
-
-    Ties resolve to the lowest device id.
-
-    Raises:
-        PoolExhaustedError: no candidates remain.
-    """
-    if not candidates:
-        raise PoolExhaustedError(f"server {server_id} has no candidates left")
-    ids = sorted(candidates)
-    scores = _kl_scores(_candidate_probs(ids, dists), server_dist, target)
-    best = ids[int(np.argmin(scores))]
-    return StepResult(device=best, merged=server_dist.merge(dists[best]))
-
-
 def _min_kl_picker(ids, dists, target):
     """Greedy min-KL order: one array op over the remaining candidates per step.
 
     ``argmin`` returns the first minimum and rows are in ascending id, so
-    ties go to the lowest id, as in ``min_kl_step``.
+    ties go to the lowest id.
     """
     probs = _candidate_probs(ids, dists)
     taken = np.zeros(len(ids), dtype=bool)

@@ -41,7 +41,6 @@ from edgefed.harness import (
     ScenarioConfig,
     SchedulerParams,
     TopologyParams,
-    TrainParams,
     build_population,
     desk_config,
     emit,
@@ -262,7 +261,7 @@ def _policy_scenario(seed: int) -> ScenarioConfig:
         topology=TopologyParams(num_servers=10, devices_per_server=200),
         data=DataParams(profile=profile, separation=2.3, eval_samples_per_class=500),
         scheduler=SchedulerParams(gamma=600),
-        train=TrainParams(phi=0.12, local_steps=5, rounds=20),
+        train=TrainConfig(phi=0.12, local_steps=5, rounds=20),
     )
 
 
@@ -416,7 +415,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
         topology=TopologyParams(num_servers=3, devices_per_server=6),
         data=DataParams(feat_dim=10, eval_samples_per_class=20),
         scheduler=SchedulerParams(gamma=120),
-        train=TrainParams(phi=0.05, local_steps=1, rounds=3),
+        train=TrainConfig(phi=0.05, local_steps=1, rounds=3),
     )
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     emit(run_scenario(cfg), out_a)

@@ -10,12 +10,12 @@ from numpy.random import default_rng
 from edgefed.cli import main
 from edgefed.distributions import DirichletProfile, GroupedProfile
 from edgefed.errors import SimulationError
+from edgefed.federated import TrainConfig
 from edgefed.harness import (
     DataParams,
     ScenarioConfig,
     SchedulerParams,
     TopologyParams,
-    TrainParams,
     build_population,
     desk_config,
     emit,
@@ -38,7 +38,7 @@ def _tiny_config(seed=1, **overrides):
         topology=TopologyParams(num_servers=3, devices_per_server=6),
         data=DataParams(feat_dim=10, eval_samples_per_class=20),
         scheduler=SchedulerParams(gamma=120),
-        train=TrainParams(phi=0.05, local_steps=1, rounds=3),
+        train=TrainConfig(phi=0.05, local_steps=1, rounds=3),
     )
     base.update(overrides)
     return desk_config(seed, **base)
@@ -97,6 +97,16 @@ def test_config_from_json(tmp_path):
         ({"radio": {"max_power": "1"}}, "radio.max_power: expected float"),
         ({"tags": "golden"}, "tags: expected list"),
         ({"topology": 3}, "topology: expected an object"),
+        ({"train": {"batch_size": True}}, "train.batch_size: expected int"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size: expected int"),
+        ({"train": {"batch_size": "8"}}, "train.batch_size: expected int"),
+        ({"out_dir": 5}, "out_dir: expected str"),
+        ({"radio": {"subcarriers": 0}}, "radio: need at least one subcarrier"),
+        ({"train": {"local_steps": 0}}, "train: local_steps must be at least 1"),
+        (
+            {"data": {"profile": {"kind": "dirichlet", "alpha": ["a", 1]}}},
+            "data.profile: could not convert string to float: 'a'",
+        ),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):
@@ -113,6 +123,11 @@ def test_config_names_the_section_missing_a_field():
 def test_config_accepts_int_for_float():
     cfg = ScenarioConfig.from_dict({"radio": {"max_power": 2}})
     assert cfg.radio.max_power == 2.0
+
+
+def test_config_optional_fields_accept_their_type():
+    cfg = ScenarioConfig.from_dict({"train": {"batch_size": 8}, "out_dir": "results"})
+    assert (cfg.train.batch_size, cfg.out_dir) == (8, "results")
 
 
 def test_presets():
@@ -431,6 +446,11 @@ def test_benchmark_scenarios_load():
     for path in paths:
         cfg = ScenarioConfig.from_json(path)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        # summary.json echoes to_dict(): it must repeat the file, with only
+        # the unset profile weights added
+        raw = json.loads(path.read_text())
+        raw["data"]["profile"].setdefault("group_weights", None)
+        assert cfg.to_dict() == raw, path.name
 
 
 def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from edgefed.network import (
     TransferRecord,
     assign_subcarriers,
     channel_gain,
+    effective_interference,
     place_topology,
     rate,
     sinr,
@@ -182,14 +183,24 @@ def test_sinr_drops_with_cochannel_traffic():
 
 
 def test_sinr_interferer_power_sources():
-    # rated-power substitution versus an explicit allocation
+    # every interferer transmits at the rated power
     topo = _single_cell_topology([[1e-9], [4e-10]])
     cfg = RadioConfig(subcarriers=1, noise_power=1e-13)
     smap = assign_subcarriers([(0, 0), (1, 0)], 1)
     rated = sinr((0, 0), 0.5, smap, topo, cfg)
     assert math.isclose(rated, 0.5e-9 / (1e-13 + 0.5 * 4e-10), rel_tol=1e-12)
-    chosen = sinr((0, 0), 0.5, smap, topo, cfg, powers={(1, 0): 0.1})
-    assert math.isclose(chosen, 0.5e-9 / (1e-13 + 0.1 * 4e-10), rel_tol=1e-12)
+
+
+def test_sinr_sums_interferers_before_the_noise():
+    # with these gains (noise + a) + b and noise + (a + b) differ in the last
+    # bit, so only the interferers-first order reproduces emitted SINRs
+    noise, a, b = 1e-13, 0.5 * 3e-13, 0.5 * 7e-13
+    assert (noise + a) + b != noise + (a + b)
+    topo = _single_cell_topology([[1e-9], [3e-13], [7e-13]])
+    cfg = RadioConfig(subcarriers=1, noise_power=noise, rated_power=0.5)
+    smap = assign_subcarriers([(0, 0), (1, 0), (2, 0)], 1)
+    assert effective_interference((0, 0), smap, topo, cfg) == noise + (a + b)
+    assert sinr((0, 0), 0.5, smap, topo, cfg) == 1e-9 * 0.5 / (noise + (a + b))
 
 
 def test_sinr_validation():

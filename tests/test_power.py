@@ -8,11 +8,17 @@ from numpy.random import default_rng
 
 from edgefed.distributions import uniform_distribution
 from edgefed.errors import InvalidParameterError
-from edgefed.network import Device, RadioConfig, Server, Topology, assign_subcarriers
+from edgefed.network import (
+    Device,
+    RadioConfig,
+    Server,
+    Topology,
+    assign_subcarriers,
+    effective_interference,
+)
 from edgefed.power import (
     PairParams,
     allocate_power,
-    effective_interference,
     feasibility,
     objective,
     pair_params,

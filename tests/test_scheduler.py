@@ -14,14 +14,14 @@ from edgefed.distributions import (
     uniform_distribution,
 )
 from edgefed.divergence import complement, kl
-from edgefed.errors import InvalidParameterError, PoolExhaustedError
+from edgefed.errors import InvalidParameterError
 from edgefed.network import RadioConfig, TransferRecord, place_topology
 from edgefed.scheduler import (
     Policy,
     SchedulerConfig,
     _candidate_probs,
     _kl_scores,
-    min_kl_step,
+    _min_kl_picker,
     run_scheduler,
     serviceable_set,
     uniform_target,
@@ -94,6 +94,11 @@ def test_serviceable_set_filters():
 # ------------------------------------------------------------ greedy choice
 
 
+def _min_kl_pick(candidates, dists, server, target):
+    """The device the scheduler's min-KL picker takes first for ``server``."""
+    return _min_kl_picker(sorted(candidates), dists, target)(server)
+
+
 def test_min_kl_prefers_the_missing_class():
     target = uniform_target(1, 300, 3)
     server = LabelDistribution([100, 100, 0])
@@ -101,16 +106,13 @@ def test_min_kl_prefers_the_missing_class():
         7: LabelDistribution([0, 0, 50]),  # candidate A: exactly what's missing
         8: LabelDistribution([25, 25, 0]),  # candidate B: more of the same
     }
-    step = min_kl_step(0, [7, 8], dists, server, target)
-    assert step.device == 7
-    assert step.merged.counts.tolist() == [100, 100, 50]
+    assert _min_kl_pick([7, 8], dists, server, target) == 7
 
 
 def test_min_kl_single_candidate_is_forced():
     target = uniform_target(1, 100, 2)
     dists = {3: LabelDistribution([0, 90])}
-    step = min_kl_step(0, [3], dists, LabelDistribution([90, 0]), target)
-    assert step.device == 3
+    assert _min_kl_pick([3], dists, LabelDistribution([90, 0]), target) == 3
 
 
 def _assert_scores_match_oracle(candidates, dists, server, target):
@@ -126,8 +128,7 @@ def _assert_scores_match_oracle(candidates, dists, server, target):
 def test_min_kl_tie_goes_to_lower_id():
     target = uniform_target(1, 100, 2)
     dists = {5: LabelDistribution([10, 10]), 2: LabelDistribution([10, 10])}
-    step = min_kl_step(0, [5, 2], dists, LabelDistribution.zeros(2), target)
-    assert step.device == 2
+    assert _min_kl_pick([5, 2], dists, LabelDistribution.zeros(2), target) == 2
 
     # identical histograms among worse ones: the lowest id of the pair wins
     target = uniform_target(1, 600, 4)
@@ -140,7 +141,7 @@ def test_min_kl_tie_goes_to_lower_id():
     }
     scores = _assert_scores_match_oracle(dists, dists, server, target)
     assert scores[4] == scores[9] < min(scores[1], scores[6])
-    assert min_kl_step(0, [9, 6, 4, 1], dists, server, target).device == 4
+    assert _min_kl_pick([9, 6, 4, 1], dists, server, target) == 4
 
     # a copy of the demand scores exactly 0; twice the demand rounds to a
     # slightly negative sum that the clamp also sends to 0, so the two tie
@@ -155,13 +156,7 @@ def test_min_kl_tie_goes_to_lower_id():
     assert np.sum(p * np.log(p / q)) < 0.0
     scores = _assert_scores_match_oracle(dists, dists, server, target)
     assert scores[3] == scores[8] == 0.0 < scores[0]
-    assert min_kl_step(0, [8, 3, 0], dists, server, target).device == 3
-
-
-def test_min_kl_empty_pool_signals():
-    target = uniform_target(1, 100, 2)
-    with pytest.raises(PoolExhaustedError):
-        min_kl_step(0, [], {}, LabelDistribution.zeros(2), target)
+    assert _min_kl_pick([8, 3, 0], dists, server, target) == 3
 
 
 def test_min_kl_agrees_with_exhaustive_oracle():
@@ -176,10 +171,10 @@ def test_min_kl_agrees_with_exhaustive_oracle():
             dists = {u: LabelDistribution(c) for u, c in enumerate(counts)}
             candidates = [u for u in dists if dists[u].total() > 0]
             server = LabelDistribution(rng.integers(0, 120, size=num_classes))
-            step = min_kl_step(0, candidates, dists, server, target)
+            picked = _min_kl_pick(candidates, dists, server, target)
             scores = _assert_scores_match_oracle(candidates, dists, server, target)
             scored = sorted((d, u) for u, d in scores.items())
-            assert step.device == scored[0][1]
+            assert picked == scored[0][1]
 
 
 # ------------------------------------------------------------------ full runs
