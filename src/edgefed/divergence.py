@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .federated import ModelParams, PairedRun, loss_and_grad
+from .federated import ModelParams, PairedRun, loss_and_grad, server_gradients
 
 BOUND_SLACK = 1e-9
 
@@ -151,9 +151,8 @@ def measure_gradient_divergences(
     """Per-snapshot, per-server gradient divergences against the pooled data.
 
     Each entry equals ``gradient_divergence(w, d, union)`` bit for bit, but
-    the pooled gradient is computed once per snapshot rather than once per
-    server: a snapshot costs one pass over the union plus one pass over each
-    server, 2N rows for a union of N samples.
+    a snapshot costs one pass over the union plus one stacked pass that
+    takes every server's gradient at once: 2N rows for a union of N samples.
 
     Returns a matrix of shape (len(snapshots), num_servers).
     """
@@ -161,11 +160,10 @@ def measure_gradient_divergences(
         raise InvalidInputError("need at least one server dataset")
     union = Dataset.concat(list(server_datasets))
     out = np.empty((len(snapshots), len(server_datasets)))
-    for i, w in enumerate(snapshots):
+    per_snapshot = server_gradients(snapshots, server_datasets)
+    for i, (w, grads) in enumerate(zip(snapshots, per_snapshot)):
         _, g_global = loss_and_grad(w, union)
-        for s, d in enumerate(server_datasets):
-            _, g_server = loss_and_grad(w, d)
-            out[i, s] = g_server.distance(g_global)
+        out[i] = [g.distance(g_global) for g in grads]
     return out
 
 

@@ -1,10 +1,11 @@
 """Multinomial logistic model, local updates, and federated averaging.
 
 The model is softmax regression with a bias term, trained by full-batch or
-minibatch gradient steps. Aggregation is the data-size weighted average of
-server models. A paired runner trains two server populations in lock step
-from a shared initialisation so their parameter trajectories can be compared
-round by round.
+minibatch gradient steps. Each local step evaluates every server's model in
+one class-major pass over all server data. Aggregation is the data-size
+weighted average of server models. A paired runner trains two server
+populations in lock step from a shared initialisation so their parameter
+trajectories can be compared round by round.
 """
 
 from __future__ import annotations
@@ -127,12 +128,82 @@ class RoundMetrics:
     accuracy: float
 
 
-def _logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    return features @ params.weights.T + params.bias
+class _Stack:
+    """Datasets laid side by side as the column blocks of one class-major buffer.
+
+    Dataset s owns columns ``blocks[s]`` of a (C, N) buffer, where N is the
+    total sample count, so one pass evaluates a model per dataset. Labels
+    are checked against the class range here, once per stack, not per pass.
+    """
+
+    def __init__(self, datasets: Sequence[Dataset], num_classes: int):
+        sizes = [len(d) for d in datasets]
+        if min(sizes) == 0:
+            raise InvalidInputError("cannot evaluate a model on an empty dataset")
+        labels = np.concatenate([d.labels for d in datasets])
+        if labels.max() >= num_classes:
+            raise InvalidInputError("label outside the model's class range")
+        self.num_classes = num_classes
+        self.features = [d.features for d in datasets]
+        self.sizes = np.array(sizes, dtype=np.float64)
+        self.starts = np.cumsum([0, *sizes[:-1]])
+        self.blocks = [slice(a, a + n) for a, n in zip(self.starts.tolist(), sizes)]
+        # Position of each sample's label cell in the flattened (C, N) buffer.
+        self.label_cells = labels * labels.size + np.arange(labels.size)
+
+
+def _softmax_pass(weights: np.ndarray, bias: np.ndarray, stack: _Stack, grads=True):
+    """Mean softmax cross-entropy of model s on dataset s, for every s at once.
+
+    ``weights`` is (S, C, d) and ``bias`` (S, C), one model per dataset of
+    the stack. Class sums add rows in class order, and each sum over
+    samples stays inside one dataset's block, so dataset s gets the same
+    bits whatever else shares its stack.
+
+    Returns the (S,) losses and, when ``grads``, the (S, C, d) weight and
+    (S, C) bias gradients. Finiteness is checked once, on the stacked result.
+    """
+    z = np.empty((stack.num_classes, len(stack.label_cells)))
+    for s, (x, cols) in enumerate(zip(stack.features, stack.blocks)):
+        block = z[:, cols]
+        np.matmul(weights[s], x.T, out=block)
+        block += bias[s][:, None]
+    # One buffer holds the shifted logits, then their exponentials, then the
+    # softmax minus the one-hot labels.
+    z -= np.maximum.reduce(z, axis=0)
+    cells = z.reshape(-1)
+    picked = cells[stack.label_cells]
+    np.exp(z, out=z)
+    # reduce adds row by row, except on a single column, which it would sum
+    # pairwise; accumulate always adds row by row.
+    if z.shape[1] > 1:
+        denom = np.add.reduce(z, axis=0)
+    else:
+        denom = np.add.accumulate(z, axis=0)[-1]
+    losses = np.add.reduceat(np.log(denom) - picked, stack.starts) / stack.sizes
+    if not grads:
+        if not np.all(np.isfinite(losses)):
+            raise NumericalFailureError("non-finite loss")
+        return losses
+    z /= denom
+    cells[stack.label_cells] -= 1.0
+    grad_w = np.empty(weights.shape)
+    for s, (x, cols) in enumerate(zip(stack.features, stack.blocks)):
+        np.matmul(z[:, cols], x, out=grad_w[s])
+    grad_w /= stack.sizes[:, None, None]
+    grad_b = np.add.reduceat(z, stack.starts, axis=1).T / stack.sizes[:, None]
+    if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grad_w))):
+        raise NumericalFailureError("non-finite loss or gradient")
+    return losses, grad_w, grad_b
 
 
 def loss_and_grad(params: ModelParams, dataset: Dataset):
     """Mean softmax cross-entropy and its exact gradient.
+
+    This is the one-dataset case of the pass that training runs over all
+    servers at once. The logits sit class-major in one C x n buffer; the
+    softmax reduces down its columns, and a call costs two (C, d) x (d, n)
+    matmuls plus a handful of O(Cn) array ops.
 
     Args:
         params: model to evaluate.
@@ -142,41 +213,71 @@ def loss_and_grad(params: ModelParams, dataset: Dataset):
         Tuple ``(loss, grad)`` where ``grad`` is a ``ModelParams`` holding
         the gradient with respect to weights and bias.
     """
-    n = len(dataset)
-    if n == 0:
-        raise InvalidInputError("cannot evaluate a model on an empty dataset")
-    x = dataset.features
-    y = dataset.labels
-    if np.any(y >= params.num_classes):
-        raise InvalidInputError("label outside the model's class range")
-    rows = np.arange(n)
-    # One n x C buffer holds the shifted logits, then their exponentials,
-    # then the softmax minus the one-hot labels. Each in-place step computes
-    # the same values as the out-of-place formula, so results match it bit
-    # for bit; the reductions are the ones .mean() runs.
-    z = _logits(params, x)
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
-    picked = z[rows, y]
-    np.exp(z, out=z)
-    denom = np.add.reduce(z, axis=1, keepdims=True)
-    loss = float(np.add.reduce(np.log(denom[:, 0]) - picked) / n)
-    z /= denom
-    z[rows, y] -= 1.0
-    grad_w = z.T @ x
-    grad_w /= n
-    grad_b = np.add.reduce(z, axis=0)
-    grad_b /= n
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad_w))):
-        raise NumericalFailureError("non-finite loss or gradient")
-    return loss, ModelParams._wrap(grad_w, grad_b)
+    stack = _Stack([dataset], params.num_classes)
+    losses, grad_w, grad_b = _softmax_pass(params.weights[None], params.bias[None], stack)
+    return float(losses[0]), ModelParams._wrap(grad_w[0], grad_b[0])
 
 
 def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     if len(dataset) == 0:
         raise InvalidInputError("cannot evaluate accuracy on an empty dataset")
-    pred = _logits(params, dataset.features).argmax(axis=1)
+    pred = (dataset.features @ params.weights.T + params.bias).argmax(axis=1)
     return float((pred == dataset.labels).mean())
+
+
+def _step_stacks(datasets: Sequence[Dataset], stack: _Stack, cfg: TrainConfig, rng):
+    """The stack each local step trains on: the full data, or that step's batches.
+
+    Batches are drawn server by server, and step by step within a server,
+    the order in which one server's local updates after another draw them.
+    """
+    if cfg.batch_size is None:
+        return [stack] * cfg.local_steps
+    if rng is None:
+        raise InvalidParameterError("minibatch training needs an rng")
+    size, steps = cfg.batch_size, range(cfg.local_steps)
+    picks = [
+        [rng.choice(len(d), size, replace=False) if size < len(d) else slice(None) for _ in steps]
+        for d in datasets
+    ]
+    return [
+        _Stack(
+            [Dataset(d.features[p[k]], d.labels[p[k]]) for d, p in zip(datasets, picks)],
+            stack.num_classes,
+        )
+        for k in steps
+    ]
+
+
+def _local_steps(weights: np.ndarray, bias: np.ndarray, stacks, phi: float):
+    """Gradient steps for every server of the stacks at once, one per stack."""
+    for stack in stacks:
+        _, grad_w, grad_b = _softmax_pass(weights, bias, stack)
+        weights = weights - phi * grad_w
+        bias = bias - phi * grad_b
+    if not np.all(np.isfinite(weights)):
+        raise NumericalFailureError("local update diverged")
+    return weights, bias
+
+
+def _unstack(weights: np.ndarray, bias: np.ndarray) -> list:
+    return [ModelParams._wrap(w, b) for w, b in zip(weights, bias)]
+
+
+def server_gradients(snapshots: Sequence[ModelParams], datasets: Sequence[Dataset]):
+    """Yield, per snapshot, each dataset's ``loss_and_grad`` gradient there.
+
+    One stacked pass per snapshot covers every dataset.
+    """
+    if len(snapshots) == 0:
+        return
+    stack = _Stack(datasets, snapshots[0].num_classes)
+    for w in snapshots:
+        _, grad_w, grad_b = _softmax_pass(
+            np.stack([w.weights] * len(datasets)), np.stack([w.bias] * len(datasets)), stack
+        )
+        yield _unstack(grad_w, grad_b)
 
 
 def local_update(
@@ -190,24 +291,13 @@ def local_update(
     Each step applies a full gradient descent update with rate ``cfg.phi``,
     so the returned model equals the start point minus phi times the sum of
     the step gradients taken along the way. Minibatch mode subsamples the
-    dataset independently per step and requires an rng.
+    dataset independently per step and requires an rng. This is the
+    one-server case of the stacked steps that ``run_fl`` takes.
     """
-    if cfg.batch_size is not None and rng is None:
-        raise InvalidParameterError("minibatch training needs an rng")
-    current = params
-    for _ in range(cfg.local_steps):
-        batch = dataset
-        if cfg.batch_size is not None and cfg.batch_size < len(dataset):
-            idx = rng.choice(len(dataset), size=cfg.batch_size, replace=False)
-            batch = Dataset(dataset.features[idx], dataset.labels[idx])
-        _, grad = loss_and_grad(current, batch)
-        current = ModelParams._wrap(
-            current.weights - cfg.phi * grad.weights,
-            current.bias - cfg.phi * grad.bias,
-        )
-    if not np.all(np.isfinite(current.weights)):
-        raise NumericalFailureError("local update diverged")
-    return current
+    stack = _Stack([dataset], params.num_classes)
+    steps = _step_stacks([dataset], stack, cfg, rng)
+    weights, bias = _local_steps(params.weights[None], params.bias[None], steps, cfg.phi)
+    return _unstack(weights, bias)[0]
 
 
 def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParams:
@@ -239,6 +329,8 @@ def run_fl(
 ):
     """Federated-averaging loop over the given server datasets.
 
+    Every server's local step is one stacked pass over all server data.
+
     Args:
         server_datasets: one non-empty dataset per edge server.
         cfg: training hyperparameters.
@@ -259,15 +351,19 @@ def run_fl(
     if eval_set is not None and len(eval_set) > 0:
         num_classes = max(num_classes, int(eval_set.labels.max()) + 1)
     current = init if init is not None else ModelParams.zeros(num_classes, feat_dim)
+    stack = _Stack(server_datasets, current.num_classes)
     sizes = [len(d) for d in server_datasets]
     total = float(sum(sizes))
     metrics = []
     for t in range(1, cfg.rounds + 1):
-        locals_ = [local_update(current, d, cfg, rng) for d in server_datasets]
-        current = aggregate(locals_, sizes)
-        per_server = tuple(
-            loss_and_grad(m, d)[0] for m, d in zip(locals_, server_datasets)
+        weights, bias = _local_steps(
+            np.stack([current.weights] * len(sizes)),
+            np.stack([current.bias] * len(sizes)),
+            _step_stacks(server_datasets, stack, cfg, rng),
+            cfg.phi,
         )
+        current = aggregate(_unstack(weights, bias), sizes)
+        per_server = _softmax_pass(weights, bias, stack, grads=False).tolist()
         g_loss = float(sum((s / total) * l for s, l in zip(sizes, per_server)))
         acc = evaluate_accuracy(current, eval_set) if eval_set is not None else float("nan")
         metrics.append(RoundMetrics(round=t, global_loss=g_loss, accuracy=acc))
@@ -330,25 +426,27 @@ def run_paired(
             raise InvalidComparisonError("paired runs need matching dataset sizes")
     if cfg.batch_size is not None:
         raise InvalidComparisonError("paired runs are full batch only")
-    feat_dim = left_datasets[0].feat_dim
-    num_classes = (
-        int(
-            max(
-                max(int(d.labels.max()) for d in left_datasets),
-                max(int(d.labels.max()) for d in right_datasets),
-            )
-        )
-        + 1
-    )
-    start = init if init is not None else ModelParams.zeros(num_classes, feat_dim)
+    both = [*left_datasets, *right_datasets]
+    num_classes = 1 + max(int(d.labels.max()) for d in both)
+    start = init if init is not None else ModelParams.zeros(num_classes, both[0].feat_dim)
+    # Both arms train side by side in one stack: left servers, then right.
+    stack = _Stack(both, start.num_classes)
+    stacks = [stack] * cfg.local_steps
     sizes = [len(d) for d in left_datasets]
+    half = len(sizes)
     w, v = start, start
     left_snaps, right_snaps, gaps = [start], [start], []
     for _ in range(cfg.rounds):
-        w = aggregate([local_update(w, d, cfg) for d in left_datasets], sizes)
-        v = aggregate([local_update(v, d, cfg) for d in right_datasets], sizes)
+        weights, bias = _local_steps(
+            np.stack([w.weights] * half + [v.weights] * half),
+            np.stack([w.bias] * half + [v.bias] * half),
+            stacks,
+            cfg.phi,
+        )
+        models = _unstack(weights, bias)
+        w = aggregate(models[:half], sizes)
+        v = aggregate(models[half:], sizes)
         left_snaps.append(w)
         right_snaps.append(v)
         gaps.append(w.distance(v))
     return PairedRun(tuple(left_snaps), tuple(right_snaps), tuple(gaps), cfg)
-

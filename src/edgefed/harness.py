@@ -8,6 +8,7 @@ produce byte-identical result files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -172,10 +173,19 @@ def _field_from_plain(f, value, where: str):
     if type_name == "tuple":
         if not isinstance(value, list):
             raise InvalidInputError(f"{where}: expected list")
+        for i, item in enumerate(value):
+            _require_finite(item, f"{where}[{i}]")
         return tuple(value)
     accepted = _SCALAR_TYPES.get(type_name, ())
     if not isinstance(value, accepted) or (isinstance(value, bool) and type_name != "bool"):
         raise InvalidInputError(f"{where}: expected {type_name}")
+    return _require_finite(value, where)
+
+
+def _require_finite(value, where: str):
+    # JSON's NaN and Infinity load as floats, and NaN passes every range check.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidInputError(f"{where}: expected a finite number")
     return value
 
 
@@ -253,18 +263,22 @@ def server_datasets_from_plan(
     """Materialise the planned transfers into per-server training sets.
 
     Device features are drawn from a stream keyed by device id, so the same
-    device carries the same samples no matter which policy selected it.
+    device carries the same samples no matter which policy selected it, and
+    one server's devices are materialised only when its set is built.
     """
     model = _feature_model(cfg)
     by_server: dict = {}
     for e in plan.entries:
-        dev = topo.device(e.device)
-        rng = keyed_stream(cfg.seed, "data", dev.id)
-        by_server.setdefault(e.server, []).append(materialize(dev.dist, model, rng))
-    out = []
-    for s in sorted(by_server):
-        out.append(Dataset.concat(by_server[s]))
-    return out
+        by_server.setdefault(e.server, []).append(topo.device(e.device))
+    return [
+        Dataset.concat(
+            [
+                materialize(dev.dist, model, keyed_stream(cfg.seed, "data", dev.id))
+                for dev in by_server[s]
+            ]
+        )
+        for s in sorted(by_server)
+    ]
 
 
 def iid_reference(cfg: ScenarioConfig, sizes, rng) -> list:

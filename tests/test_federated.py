@@ -1,5 +1,6 @@
 """Softmax model, local updates, aggregation, and the FL loop."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from edgefed.errors import (
 )
 from edgefed.federated import (
     ModelParams,
+    _softmax_pass,
+    _Stack,
     TrainConfig,
     aggregate,
     evaluate_accuracy,
@@ -110,8 +113,29 @@ def test_negative_label_is_rejected():
     assert len(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int))) == 0
 
 
-def _reference_loss_and_grad(params, dataset):
-    """The out-of-place softmax formula that ``loss_and_grad`` must match."""
+def _class_major_reference(params, dataset):
+    """The out-of-place class-major formula that ``loss_and_grad`` must match.
+
+    Logits are (C, n). Class sums add rows in class order. A sum over
+    samples adds the first sample to numpy's pairwise sum of the rest,
+    which is how ``np.add.reduceat`` adds a segment.
+    """
+    n = len(dataset)
+    x, y = dataset.features, dataset.labels
+    cols = np.arange(n)
+    z = params.weights @ x.T + params.bias[:, None]
+    z_shift = z - z.max(axis=0)
+    expz = np.exp(z_shift)
+    denom = functools.reduce(np.add, expz)
+    per_sample = np.log(denom) - z_shift[y, cols]
+    loss = float((per_sample[0] + per_sample[1:].sum()) / n)
+    probs = expz / denom
+    probs[y, cols] -= 1.0
+    return loss, probs @ x / n, (probs[:, 0] + probs[:, 1:].sum(axis=1)) / n
+
+
+def _row_major_reference(params, dataset):
+    """The earlier row-major (n, C) formula, equal up to rounding."""
     n = len(dataset)
     x, y = dataset.features, dataset.labels
     z = x @ params.weights.T + params.bias
@@ -125,19 +149,142 @@ def _reference_loss_and_grad(params, dataset):
     return loss, probs.T @ x / n, probs.mean(axis=0)
 
 
-def test_loss_and_grad_matches_reference_bit_for_bit():
+def _reference_cases():
     rng = default_rng(40)
     cases = [(_dataset(41), _random_model(42))]
     for n, scale in ((1, 1.0), (1, 100.0), (7, 100.0), (250, 100.0), (90, 0.3)):
         # labels drawn from 3 of 5 classes, so two classes have no samples
         ds = Dataset(rng.normal(size=(n, 6)), rng.integers(0, 3, size=n))
         cases.append((ds, _random_model(int(rng.integers(1 << 30)), 5, 6, scale)))
-    for ds, w in cases:
+    return cases
+
+
+def test_loss_and_grad_matches_reference_bit_for_bit():
+    for ds, w in _reference_cases():
         loss, grad = loss_and_grad(w, ds)
-        ref_loss, ref_w, ref_b = _reference_loss_and_grad(w, ds)
+        ref_loss, ref_w, ref_b = _class_major_reference(w, ds)
         assert loss == ref_loss
         assert np.array_equal(grad.weights, ref_w)
         assert np.array_equal(grad.bias, ref_b)
+
+
+def test_loss_and_grad_matches_row_major_formula():
+    # Rounding differs from the row-major formula only in the last bits;
+    # the gradient tolerance is relative to its largest entry.
+    for ds, w in _reference_cases():
+        loss, grad = loss_and_grad(w, ds)
+        ref_loss, ref_w, ref_b = _row_major_reference(w, ds)
+        assert math.isclose(loss, ref_loss, rel_tol=1e-12)
+        for got, ref in ((grad.weights, ref_w), (grad.bias, ref_b)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _unequal_servers():
+    """Servers of 1 to 140 samples; most hold only some of the 10 classes.
+
+    Ten classes, because numpy sums eight or more contiguous values
+    pairwise, so a one-sample pass could add its classes in another order.
+    """
+    rng = default_rng(70)
+    out = []
+    for n, classes in ((140, 2), (1, 10), (37, 1), (2, 3), (96, 10)):
+        out.append(Dataset(rng.normal(size=(n, 6)) * 2.0, rng.integers(0, classes, size=n)))
+    return out
+
+
+def test_stacked_pass_equals_each_server_alone():
+    parts = _unequal_servers()
+    models = [_random_model(71 + s, 10, 6, 1.0) for s in range(len(parts))]
+    weights = np.stack([m.weights for m in models])
+    bias = np.stack([m.bias for m in models])
+    stack = _Stack(parts, 10)
+    losses, grad_w, grad_b = _softmax_pass(weights, bias, stack)
+    assert np.array_equal(_softmax_pass(weights, bias, stack, grads=False), losses)
+    for s, (m, d) in enumerate(zip(models, parts)):
+        loss, grad = loss_and_grad(m, d)
+        assert losses[s] == loss, s
+        assert np.array_equal(grad_w[s], grad.weights), s
+        assert np.array_equal(grad_b[s], grad.bias), s
+
+
+def _per_server_fl(parts, cfg, eval_set, rng=None):
+    """FedAvg as one ``local_update`` per server, then ``aggregate``."""
+    current = ModelParams.zeros(10, 6)
+    sizes = [len(d) for d in parts]
+    total = float(sum(sizes))
+    losses, accs = [], []
+    for _ in range(cfg.rounds):
+        locals_ = [local_update(current, d, cfg, rng) for d in parts]
+        current = aggregate(locals_, sizes)
+        per_server = [loss_and_grad(m, d)[0] for m, d in zip(locals_, parts)]
+        losses.append(float(sum((s / total) * l for s, l in zip(sizes, per_server))))
+        accs.append(evaluate_accuracy(current, eval_set))
+    return losses, accs, current
+
+
+@pytest.mark.parametrize("batch_size", [None, 1, 16])
+def test_run_fl_equals_per_server_updates(batch_size):
+    parts = _unequal_servers()
+    eval_set = Dataset(default_rng(72).normal(size=(50, 6)), default_rng(73).integers(0, 10, 50))
+    cfg = TrainConfig(phi=0.1, local_steps=3, rounds=4, batch_size=batch_size)
+    metrics, final = run_fl(parts, cfg, eval_set, rng=substream(3, "training"))
+    losses, accs, ref = _per_server_fl(parts, cfg, eval_set, rng=substream(3, "training"))
+    assert [m.global_loss for m in metrics] == losses
+    assert [m.accuracy for m in metrics] == accs
+    assert np.array_equal(final.weights, ref.weights)
+    assert np.array_equal(final.bias, ref.bias)
+
+
+def test_run_paired_equals_per_server_updates():
+    left = _unequal_servers()
+    right = iid_counterpart(left, default_rng(74))
+    cfg = TrainConfig(phi=0.1, local_steps=2, rounds=3)
+    paired = run_paired(left, right, cfg)
+    sizes = [len(d) for d in left]
+    w = v = ModelParams.zeros(10, 6)
+    for t in range(1, cfg.rounds + 1):
+        w = aggregate([local_update(w, d, cfg) for d in left], sizes)
+        v = aggregate([local_update(v, d, cfg) for d in right], sizes)
+        for got, ref in ((paired.left_params[t], w), (paired.right_params[t], v)):
+            assert np.array_equal(got.weights, ref.weights)
+            assert np.array_equal(got.bias, ref.bias)
+        assert paired.distances[t - 1] == w.distance(v)
+
+
+def test_label_range_is_checked_when_the_stack_is_built():
+    parts = _unequal_servers()
+    with pytest.raises(InvalidInputError, match="class range"):
+        _Stack(parts, 9)
+    # Zero rounds make no pass, so only building the stack can catch it.
+    with pytest.raises(InvalidInputError, match="class range"):
+        run_fl(parts, TrainConfig(rounds=0), None, init=ModelParams.zeros(9, 6))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_pass_rejects_nan_features_and_huge_weights():
+    parts = _unequal_servers()
+    feats = parts[3].features.copy()
+    feats[1, 2] = np.nan
+    poisoned = [*parts[:3], Dataset(feats, parts[3].labels), parts[4]]
+    with pytest.raises(NumericalFailureError):
+        loss_and_grad(ModelParams.zeros(10, 6), poisoned[3])
+    cfg = TrainConfig(phi=0.05, local_steps=1, rounds=1)
+    with pytest.raises(NumericalFailureError):
+        run_fl(poisoned, cfg, None)
+    with pytest.raises(NumericalFailureError):
+        run_paired(poisoned, poisoned, cfg)
+    huge = ModelParams(1e308 * np.eye(10, 6), np.zeros(10))
+    with pytest.raises(NumericalFailureError):
+        run_fl(parts, cfg, None, init=huge)
+    weights = np.stack([huge.weights] * len(parts))
+    bias = np.zeros((len(parts), 10))
+    for grads in (True, False):
+        with pytest.raises(NumericalFailureError):
+            _softmax_pass(weights, bias, _Stack(parts, 10), grads=grads)
+    # A finite gradient times a huge rate overflows only the weights, which
+    # no later pass sees after the paired run's last step.
+    with pytest.raises(NumericalFailureError, match="diverged"):
+        run_paired(parts, parts, TrainConfig(phi=1e308, local_steps=1, rounds=1))
 
 
 def test_fresh_results_are_read_only_and_unshared():
