@@ -61,7 +61,19 @@ class LabelDistribution:
                 f"cannot merge histograms over {self.num_classes} and "
                 f"{other.num_classes} classes"
             )
-        return LabelDistribution(self.counts + other.counts)
+        return LabelDistribution._wrap(self.counts + other.counts)
+
+    @classmethod
+    def _wrap(cls, counts: np.ndarray) -> "LabelDistribution":
+        """Freeze a fresh int64 histogram of valid counts in place, skipping the checks.
+
+        Only for arrays this module has just computed from valid histograms,
+        so marking them read-only is all the public constructor would add.
+        """
+        counts.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "counts", counts)
+        return out
 
     @staticmethod
     def zeros(num_classes: int) -> "LabelDistribution":
@@ -217,7 +229,22 @@ class Dataset:
             raise InvalidInputError("cannot concatenate zero datasets")
         feats = np.concatenate([p.features for p in parts], axis=0)
         labels = np.concatenate([p.labels for p in parts], axis=0)
-        return Dataset(feats, labels)
+        return Dataset._wrap(feats, labels)
+
+    @classmethod
+    def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """Freeze fresh float64 features and int64 labels in place, skipping the copy.
+
+        Only for arrays this module has just built from valid parts and no
+        caller can reach, so marking them read-only is all the public
+        constructor would add.
+        """
+        features.flags.writeable = False
+        labels.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "features", features)
+        object.__setattr__(out, "labels", labels)
+        return out
 
 
 @dataclass(frozen=True)
@@ -372,7 +399,13 @@ def generate_clients(
     raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
 
 
-def normalize(dist: LabelDistribution, epsilon: float = 1e-6) -> ProbabilityVector:
+# The pseudo-count ``normalize`` gives every class by default.
+SMOOTHING_EPSILON = 1e-6
+
+
+def normalize(
+    dist: LabelDistribution, epsilon: float = SMOOTHING_EPSILON
+) -> ProbabilityVector:
     """Smooth a histogram into a strictly positive probability vector.
 
     Every class receives ``(count + epsilon) / (total + C * epsilon)`` mass,
@@ -398,22 +431,18 @@ def materialize(
     """Draw a concrete dataset realising a label histogram.
 
     Exactly ``dist.counts[c]`` rows of class ``c`` are produced, in class
-    order, from the model's isotropic Gaussian for that class.
+    order, from the model's isotropic Gaussian for that class. The noise is
+    one (n, d) standard-normal block for all n rows, scaled by ``std`` and
+    shifted by each row's class mean; this draw order is part of the
+    byte contract, since every device's features depend on it.
     """
     if model.num_classes != dist.num_classes:
         raise DimensionMismatchError(
             f"feature model covers {model.num_classes} classes, "
             f"histogram has {dist.num_classes}"
         )
-    blocks = []
-    labels = []
-    for c in range(dist.num_classes):
-        n = int(dist.counts[c])
-        if n == 0:
-            continue
-        noise = rng.standard_normal((n, model.feat_dim))
-        blocks.append(model.means[c] + model.std * noise)
-        labels.append(np.full(n, c, dtype=np.int64))
-    if not blocks:
-        return Dataset(np.zeros((0, model.feat_dim)), np.zeros(0, dtype=np.int64))
-    return Dataset(np.concatenate(blocks, axis=0), np.concatenate(labels))
+    labels = np.repeat(np.arange(dist.num_classes, dtype=np.int64), dist.counts)
+    features = rng.standard_normal((labels.size, model.feat_dim))
+    features *= model.std
+    features += model.means[labels]
+    return Dataset._wrap(features, labels)

@@ -188,7 +188,9 @@ def place_topology(
     Each device is drawn uniformly in its home server's cell disc and
     re-drawn until that server is also its nearest one, so home membership
     and nearest-server membership coincide. Channel gains for every
-    device/server pair are drawn once here and frozen.
+    device/server pair are computed once here and frozen: the path loss
+    pair by pair on Python floats, then, after placement, one
+    (devices x servers) block of Exp(1) fading draws multiplied in.
 
     Args:
         num_servers: number of edge servers.
@@ -213,24 +215,19 @@ def place_topology(
         raise InvalidInputError(
             f"expected {total_devices} device histograms, got {len(dists)}"
         )
-    centers = np.asarray(_hex_centers(num_servers, cell_radius))
-    servers = tuple(
-        Server(i, (float(centers[i, 0]), float(centers[i, 1])))
-        for i in range(num_servers)
-    )
+    centers = _hex_centers(num_servers, cell_radius)
+    servers = tuple(Server(i, c) for i, c in enumerate(centers))
     devices = []
-    positions = []
     device_id = 0
-    for s in range(num_servers):
-        cx, cy = centers[s]
+    for s, (cx, cy) in enumerate(centers):
         for _ in range(devices_per_server):
             while True:
                 radius = cell_radius * math.sqrt(float(rng.random()))
                 angle = 2.0 * math.pi * float(rng.random())
                 px = cx + radius * math.cos(angle)
                 py = cy + radius * math.sin(angle)
-                d2 = np.sum((centers - (px, py)) ** 2, axis=1)
-                if int(np.argmin(d2)) == s:
+                d2 = [(x - px) * (x - px) + (y - py) * (y - py) for x, y in centers]
+                if d2.index(min(d2)) == s:
                     break
             d = dists[device_id]
             devices.append(
@@ -242,20 +239,22 @@ def place_topology(
                     home_server=s,
                 )
             )
-            positions.append((px, py))
             device_id += 1
-    gains = np.empty((total_devices, num_servers))
-    for u, (px, py) in enumerate(positions):
-        for s in range(num_servers):
-            dist_m = math.dist((px, py), tuple(centers[s]))
-            gains[u, s] = channel_gain(
-                max(dist_m, reference_distance),
+    gains = np.array(
+        [
+            channel_gain(
+                max(math.dist(dev.position, c), reference_distance),
                 exponent,
-                rng,
                 reference_gain=reference_gain,
                 reference_distance=reference_distance,
-                fading=fading,
+                fading=False,
             )
+            for dev in devices
+            for c in centers
+        ]
+    ).reshape(total_devices, num_servers)
+    if fading:
+        gains *= rng.exponential(1.0, size=gains.shape)
     return Topology(servers, tuple(devices), cell_radius, gains)
 
 

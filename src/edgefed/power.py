@@ -27,7 +27,6 @@ from .network import (
     TransferRecord,
     effective_interference,
     rate,
-    sinr,
     transfer_time,
 )
 
@@ -67,8 +66,11 @@ def pair_params(
     pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
 ) -> PairParams:
     """Build the decoupled objective coefficients for one planned pair."""
+    return _pair_params(pair, effective_interference(pair, smap, topo, cfg), topo, cfg)
+
+
+def _pair_params(pair, noise_floor: float, topo: Topology, cfg: RadioConfig) -> PairParams:
     u, s = pair
-    noise_floor = effective_interference(pair, smap, topo, cfg)
     bits = topo.device(u).data_bits
     if bits <= 0:
         raise InvalidParameterError(f"device {u} has no data to transfer")
@@ -165,11 +167,15 @@ def quasiconvexity_probe(
 def solve_pair(
     pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
 ) -> TransferRecord:
-    """Allocate power for one pair and compute its radio record."""
-    params = pair_params(pair, smap, topo, cfg)
-    result = allocate_power(params)
+    """Allocate power for one pair and compute its radio record.
+
+    The pair's noise floor is computed once and serves both its objective
+    coefficients and its SINR, which is ``network.sinr``'s expression.
+    """
     u, s = pair
-    snr = sinr(pair, result.power, smap, topo, cfg)
+    noise_floor = effective_interference(pair, smap, topo, cfg)
+    result = allocate_power(_pair_params(pair, noise_floor, topo, cfg))
+    snr = topo.gain(u, s) * result.power / noise_floor
     r = rate(snr, cfg)
     seconds = transfer_time(topo.device(u).data_bits, r)
     return TransferRecord(

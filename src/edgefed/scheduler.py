@@ -7,7 +7,8 @@ into an (n x C) probability matrix, and every step scores all remaining rows
 in one array op. Two baselines are provided: nearest device first, ordered
 by one sort per server, and uniformly random order, one draw per step. All
 policies trace the KL divergence of the growing server dataset against the
-global target after every merge.
+global target after every merge; each server's trace is one array op over
+the cumulative counts of its picked devices, after its pick loop.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import LabelDistribution, normalize, uniform_distribution
-from .divergence import complement, kl
+from .distributions import (
+    SMOOTHING_EPSILON,
+    LabelDistribution,
+    normalize,
+    uniform_distribution,
+)
+# ``kl`` is not called here, but the benchmark's tracer wraps ``scheduler.kl``
+# by name, so it stays importable from this module.
+from .divergence import complement, kl  # noqa: F401
 from .errors import InvalidParameterError
 from .network import (
     OffloadPlan,
@@ -147,9 +155,29 @@ def serviceable_set(server_id: int, topo: Topology, taken=frozenset()) -> list:
     return sorted(out)
 
 
+def _smoothed_rows(counts: np.ndarray) -> np.ndarray:
+    """``normalize(row).probs`` for every row of an integer count matrix, bit for bit.
+
+    The same operations in the same order: each row's total plus C times the
+    pseudo-count, then (count + pseudo-count) over it. Totals of integer
+    counts are exact in any order, and the pseudo-count keeps them positive.
+    """
+    eps = SMOOTHING_EPSILON
+    return (counts + eps) / (counts.sum(axis=1) + counts.shape[1] * eps)[:, None]
+
+
 def _candidate_probs(ids: Sequence[int], dists: Mapping) -> np.ndarray:
     """Smoothed label distributions of ``ids``, one row per device, in order."""
-    return np.array([normalize(dists[u]).probs for u in ids])
+    return _smoothed_rows(np.array([dists[u].counts for u in ids]))
+
+
+def _kl_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``kl(row, q)`` for every smoothed row of ``probs``, bit for bit.
+
+    Smoothed rows have no zero entries, so no term is masked, and a row sum
+    adds its terms in the same order as the scalar sum.
+    """
+    return np.maximum(np.sum(probs * np.log(probs / q), axis=1), 0.0)
 
 
 def _kl_scores(
@@ -158,12 +186,9 @@ def _kl_scores(
     """KL divergence of every row of ``probs`` to the server's remaining demand.
 
     The demand is the smoothed complement of the target against what the
-    server already holds. Each entry equals ``kl(row, demand)`` bit for bit:
-    smoothed rows have no zero entries, so no term is masked, and a row sum
-    adds its terms in the same order as the scalar sum.
+    server already holds. Each entry equals ``kl(row, demand)`` bit for bit.
     """
-    demand = normalize(complement(target, server_dist)).probs
-    return np.maximum(np.sum(probs * np.log(probs / demand), axis=1), 0.0)
+    return _kl_rows(probs, normalize(complement(target, server_dist)).probs)
 
 
 def _min_kl_picker(ids, dists, target):
@@ -233,12 +258,14 @@ def run_scheduler(
     if cfg.policy == Policy.RANDOM and rng is None:
         raise InvalidParameterError("the random policy needs an rng")
     dists = {d.id: d.dist for d in topo.devices}
-    target_probs = normalize(cfg.target)
+    target_probs = normalize(cfg.target).probs
     trace_rows = []
     plan_pairs = []
     for server in topo.servers:
         s = server.id
         ids = serviceable_set(s, topo)
+        if not ids:
+            continue
         if cfg.policy == Policy.MIN_KL:
             pick = _min_kl_picker(ids, dists, cfg.target)
         elif cfg.policy == Policy.NEAREST:
@@ -247,23 +274,23 @@ def run_scheduler(
             pick = _random_picker(ids, rng)
         server_dist = LabelDistribution.zeros(cfg.target.num_classes)
         plan_total = 0
-        for round_no in range(1, len(ids) + 1):
+        picked = []
+        for _ in ids:
             device = pick(server_dist)
             if plan_total < cfg.gamma:
                 plan_pairs.append((device, s))
                 plan_total += dists[device].total()
             server_dist = server_dist.merge(dists[device])
-            trace_rows.append(
-                TraceRow(
-                    round=round_no,
-                    server=s,
-                    kl=kl(normalize(server_dist), target_probs),
-                    total=server_dist.total(),
-                    device=device,
-                )
-            )
+            picked.append(device)
             if cfg.stop_at_threshold and plan_total >= cfg.gamma:
                 break
+        held = np.cumsum([dists[u].counts for u in picked], axis=0)
+        kls = _kl_rows(_smoothed_rows(held), target_probs).tolist()
+        totals = held.sum(axis=1).tolist()
+        trace_rows.extend(
+            TraceRow(round=k + 1, server=s, kl=kls[k], total=totals[k], device=u)
+            for k, u in enumerate(picked)
+        )
     smap = assign_subcarriers(plan_pairs, radio.subcarriers)
     solver = power_solver or solve_pair
     entries = tuple(solver(pair, smap, topo, radio) for pair in plan_pairs)

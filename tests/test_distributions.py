@@ -35,6 +35,7 @@ def test_label_distribution_basics():
     assert d.total() == 10
     merged = d.merge(LabelDistribution([1, 1, 1]))
     assert merged.counts.tolist() == [4, 1, 8]
+    assert merged.counts.dtype == np.int64 and not merged.counts.flags.writeable
 
 
 def test_label_distribution_rejects_bad_counts():
@@ -248,3 +249,52 @@ def test_dataset_concat_roundtrip():
     assert np.array_equal(both.labels[30:], b.labels)
     hist = both.label_histogram(3)
     assert hist.counts.tolist() == (a.label_histogram(3).counts + b.label_histogram(3).counts).tolist()
+
+
+def _materialize_per_class(dist, model, rng):
+    """The per-class formulation: one noise block per non-empty class, in order."""
+    blocks, labels = [], []
+    for c in range(dist.num_classes):
+        n = int(dist.counts[c])
+        if n == 0:
+            continue
+        blocks.append(model.means[c] + model.std * rng.standard_normal((n, model.feat_dim)))
+        labels.append(np.full(n, c, dtype=np.int64))
+    if not blocks:
+        return np.zeros((0, model.feat_dim)), np.zeros(0, dtype=np.int64)
+    return np.concatenate(blocks, axis=0), np.concatenate(labels)
+
+
+@pytest.mark.parametrize("std", [0.0, 1.0, 2.5])
+def test_materialize_equals_per_class_blocks(std):
+    """One (n, d) block equals one block per class, bit for bit, and leaves
+    the stream where the per-class draws would."""
+    pick = default_rng(11)
+    model = separated_feature_model(6, 9, 4.5, std)
+    hists = [np.zeros(6, dtype=np.int64)]
+    for _ in range(199):
+        counts = pick.integers(0, 40, size=6)
+        counts[pick.random(6) < 0.3] = 0
+        hists.append(counts)
+    for seed, counts in enumerate(hists):
+        dist = LabelDistribution(counts)
+        fresh, old = default_rng(seed), default_rng(seed)
+        ds = materialize(dist, model, fresh)
+        feats, labels = _materialize_per_class(dist, model, old)
+        assert np.array_equal(ds.features, feats)
+        assert ds.features.tobytes() == feats.tobytes()  # signed zeros too
+        assert np.array_equal(ds.labels, labels)
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert fresh.random() == old.random()
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+
+def test_dataset_concat_is_read_only_and_owns_its_arrays():
+    model = separated_feature_model(3, 5, 6.0, 1.0)
+    parts = [materialize(uniform_distribution(3, n), model, default_rng(n)) for n in (7, 0, 5)]
+    both = Dataset.concat(parts)
+    assert not both.features.flags.writeable and not both.labels.flags.writeable
+    assert not any(np.shares_memory(both.features, p.features) for p in parts)
+    one = Dataset.concat(parts[:1])
+    assert not np.shares_memory(one.features, parts[0].features)
+    assert np.array_equal(one.features, parts[0].features)

@@ -490,8 +490,15 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
     )
     assert set(tracing.SPAN_TARGETS) | {"power"} <= set(tracer.total)
     assert layers["power.pairs_priced"] == len(bundle.plan.entries)
+    # The scheduler computes each server's trace KLs in one array op and no
+    # longer calls ``scheduler.kl``, so the tracer's KL counter reads 0.
+    assert layers["scheduler.kl_evals"] == 0
+    # Every materialised row is a training row or an evaluation row.
+    train = harness.server_datasets_from_plan(cfg, bundle.topology, bundle.plan)
+    assert layers["distributions.samples_materialized"] == sum(map(len, train)) + len(
+        harness.evaluation_set(cfg)
+    )
     for name in (
-        "scheduler.kl_evals",
         "power.objective_evals",
         "divergence.grad_passes",
         "harness.emit_bytes",

@@ -13,6 +13,7 @@ from edgefed.errors import (
     UnknownPairError,
     UnreachableDeviceError,
 )
+from edgefed import network
 from edgefed.network import (
     Device,
     OffloadPlan,
@@ -91,6 +92,62 @@ def test_placement_validation():
         place_topology(1, 5, -10.0, default_rng(0))
     with pytest.raises(InvalidInputError):
         place_topology(1, 5, 100.0, default_rng(0), dists=[uniform_distribution(4, 5)])
+
+
+def _place_pairwise(num_servers, devices_per_server, cell_radius, rng, **kw):
+    """The array-per-attempt formulation: numpy nearest-server test during
+    placement, then one scalar ``channel_gain`` draw per pair, row by row."""
+    centers = np.asarray(network._hex_centers(num_servers, cell_radius))
+    positions = []
+    for s in range(num_servers):
+        cx, cy = centers[s]
+        for _ in range(devices_per_server):
+            while True:
+                radius = cell_radius * math.sqrt(float(rng.random()))
+                angle = 2.0 * math.pi * float(rng.random())
+                px = cx + radius * math.cos(angle)
+                py = cy + radius * math.sin(angle)
+                d2 = np.sum((centers - (px, py)) ** 2, axis=1)
+                if int(np.argmin(d2)) == s:
+                    break
+            positions.append((px, py))
+    gains = np.empty((len(positions), num_servers))
+    for u, (px, py) in enumerate(positions):
+        for s in range(num_servers):
+            dist_m = math.dist((px, py), tuple(centers[s]))
+            gains[u, s] = channel_gain(
+                max(dist_m, kw["reference_distance"]),
+                kw["exponent"],
+                rng,
+                reference_gain=kw["reference_gain"],
+                reference_distance=kw["reference_distance"],
+                fading=kw["fading"],
+            )
+    return positions, gains
+
+
+@pytest.mark.parametrize("fading", [True, False])
+@pytest.mark.parametrize(
+    "layout",
+    [
+        dict(num_servers=10, devices_per_server=40, cell_radius=500.0),
+        # the reference distance exceeds many device-server distances
+        dict(num_servers=4, devices_per_server=60, cell_radius=30.0, reference_distance=12.0),
+        dict(num_servers=1, devices_per_server=25, cell_radius=80.0, exponent=2.7),
+    ],
+)
+def test_placement_equals_the_pairwise_formulation(layout, fading):
+    kw = dict(exponent=3.0, reference_gain=1e-3, reference_distance=1.0, fading=fading)
+    kw.update({k: v for k, v in layout.items() if k in kw})
+    shape = (layout["num_servers"], layout["devices_per_server"], layout["cell_radius"])
+    fresh, old = default_rng(21), default_rng(21)
+    topo = place_topology(*shape, fresh, **kw)
+    positions, gains = _place_pairwise(*shape, old, **kw)
+    assert [d.position for d in topo.devices] == positions
+    assert topo.gains.tobytes() == gains.tobytes()
+    assert fresh.random() == old.random()
+    if layout.get("reference_distance", 1.0) > 1.0 and not fading:
+        assert (topo.gains == kw["reference_gain"]).any()
 
 
 # -------------------------------------------------------------- channel gain

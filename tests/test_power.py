@@ -15,6 +15,9 @@ from edgefed.network import (
     Topology,
     assign_subcarriers,
     effective_interference,
+    place_topology,
+    rate,
+    sinr,
 )
 from edgefed.power import (
     PairParams,
@@ -211,3 +214,18 @@ def test_solve_pair_record_is_consistent():
     assert rec.power == 1e-3  # the monotone objective hits the floor
     assert math.isclose(rec.energy_joules, rec.power * rec.transfer_seconds, rel_tol=1e-12)
     assert rec.transfer_seconds == topo.device(0).data_bits / rec.rate
+
+
+def test_solve_pair_sinr_equals_network_sinr():
+    """One noise floor per pair serves the coefficients and the SINR, bit for bit."""
+    cfg = RadioConfig(subcarriers=4)
+    topo = place_topology(5, 12, 300.0, default_rng(4))
+    pairs = [(d.id, d.home_server) for d in topo.devices]
+    smap = assign_subcarriers(pairs, cfg.subcarriers)
+    for pair in pairs:
+        rec = solve_pair(pair, smap, topo, cfg)
+        assert rec.sinr == sinr(pair, rec.power, smap, topo, cfg)
+        assert rec.rate == rate(rec.sinr, cfg)
+        assert rec.energy_joules == rec.power * rec.transfer_seconds
+    # the pairs share subcarriers across cells, so the floors carry interference
+    assert any(effective_interference(p, smap, topo, cfg) > cfg.noise_power for p in pairs)

@@ -312,6 +312,42 @@ def test_trace_replay_confirms_every_nearest_choice():
     assert order.index(hi) == order.index(lo) + 1
 
 
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_trace_rows_equal_the_per_merge_kl(policy, stop):
+    """Each trace row is ``kl(normalize(running), target)`` of the server's
+    running histogram after that merge, bit for bit."""
+    grouped = _grouped_topology(14, servers=5, per_server=30)
+    # one device without samples: it is never a candidate, so never traced
+    grouped = _with_device(grouped, 7, dist=LabelDistribution.zeros(10))
+    # uniform histograms: every running histogram matches the uniform target,
+    # and the raw KL sums round to -1.1e-16 for some, so the clamp matters
+    uniform = dataclasses.replace(
+        grouped,
+        devices=tuple(
+            dataclasses.replace(d, dist=LabelDistribution([1 + d.id % 7] * 10))
+            for d in grouped.devices
+        ),
+    )
+    target = uniform_target(5, 400, 10)
+    cfg = SchedulerConfig(gamma=400, target=target, policy=policy, stop_at_threshold=stop)
+    target_probs = normalize(target)
+    for topo in (grouped, uniform):
+        _, trace = run_scheduler(
+            cfg, topo, RadioConfig(), rng=default_rng(3), power_solver=_stub_solver
+        )
+        for server in range(5):
+            rows = trace.per_server(server)
+            assert rows and (stop or len(rows) == len(serviceable_set(server, topo)))
+            held = LabelDistribution.zeros(10)
+            for k, row in enumerate(rows, start=1):
+                held = held.merge(topo.device(row.device).dist)
+                assert row.round == k
+                assert row.total == held.total() and type(row.total) is int
+                assert row.kl == kl(normalize(held), target_probs)
+                assert type(row.kl) is float
+
+
 def test_trace_kl_improves_under_threshold_stop():
     # golden-seed check: while chasing the target the greedy KL never ends
     # above where it started
