@@ -29,7 +29,7 @@ from .distributions import (
     uniform_distribution,
 )
 from .divergence import DivergenceReport, audit_drift_bound
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidParameterError
 from .federated import (
     TrainConfig,
     iid_counterpart,
@@ -71,6 +71,14 @@ class TopologyParams:
     reference_distance: float = 1.0
     fading: bool = True
 
+    def __post_init__(self):
+        for name in ("num_servers", "devices_per_server"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be at least 1")
+        for name in ("cell_radius", "path_loss_exponent", "reference_gain", "reference_distance"):
+            if getattr(self, name) <= 0:
+                raise InvalidParameterError(f"{name} must be positive")
+
 
 @dataclass(frozen=True)
 class DataParams:
@@ -83,6 +91,18 @@ class DataParams:
     feature_std: float = 1.0
     bits_per_sample: int = DEFAULT_BITS_PER_SAMPLE
     eval_samples_per_class: int = 100
+
+    def __post_init__(self):
+        if self.profile.num_classes != self.num_classes:
+            raise InvalidParameterError(
+                f"profile covers {self.profile.num_classes} classes, "
+                f"num_classes is {self.num_classes}"
+            )
+        if self.feat_dim < self.num_classes:
+            raise InvalidParameterError("feat_dim must be at least num_classes")
+        for name in ("bits_per_sample", "eval_samples_per_class"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)

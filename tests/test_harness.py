@@ -122,6 +122,32 @@ def test_config_from_json(tmp_path):
             {"data": {"profile": {"group_weights": [1.0, float("-inf")]}}},
             "data.profile.group_weights[1]: expected a finite number",
         ),
+        ({"topology": {"num_servers": 0}}, "topology: num_servers must be at least 1"),
+        (
+            {"topology": {"devices_per_server": 0}},
+            "topology: devices_per_server must be at least 1",
+        ),
+        ({"topology": {"cell_radius": 0.0}}, "topology: cell_radius must be positive"),
+        ({"topology": {"reference_gain": -1.0}}, "topology: reference_gain must be positive"),
+        (
+            {"topology": {"reference_distance": -5.0}},
+            "topology: reference_distance must be positive",
+        ),
+        (
+            {"topology": {"path_loss_exponent": -3}},
+            "topology: path_loss_exponent must be positive",
+        ),
+        ({"data": {"num_classes": 5}}, "data: profile covers 10 classes, num_classes is 5"),
+        (
+            {"data": {"profile": {"kind": "dirichlet", "alpha": [1.0, 1.0, 1.0]}}},
+            "data: profile covers 3 classes, num_classes is 10",
+        ),
+        ({"data": {"feat_dim": 8}}, "data: feat_dim must be at least num_classes"),
+        ({"data": {"bits_per_sample": 0}}, "data: bits_per_sample must be at least 1"),
+        (
+            {"data": {"eval_samples_per_class": 0}},
+            "data: eval_samples_per_class must be at least 1",
+        ),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):
