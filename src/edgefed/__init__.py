@@ -51,6 +51,7 @@ from .network import (
     RadioConfig,
     SubcarrierMap,
     Topology,
+    TopologyParams,
     TransferRecord,
     assign_subcarriers,
     channel_gain,
@@ -83,7 +84,6 @@ from .harness import (
     ResultsBundle,
     ScenarioConfig,
     SchedulerParams,
-    TopologyParams,
     build_population,
     desk_config,
     emit,

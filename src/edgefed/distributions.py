@@ -61,19 +61,7 @@ class LabelDistribution:
                 f"cannot merge histograms over {self.num_classes} and "
                 f"{other.num_classes} classes"
             )
-        return LabelDistribution._wrap(self.counts + other.counts)
-
-    @classmethod
-    def _wrap(cls, counts: np.ndarray) -> "LabelDistribution":
-        """Freeze a fresh int64 histogram of valid counts in place, skipping the checks.
-
-        Only for arrays this module has just computed from valid histograms,
-        so marking them read-only is all the public constructor would add.
-        """
-        counts.flags.writeable = False
-        out = object.__new__(cls)
-        object.__setattr__(out, "counts", counts)
-        return out
+        return LabelDistribution(self.counts + other.counts)
 
     @staticmethod
     def zeros(num_classes: int) -> "LabelDistribution":
@@ -399,30 +387,20 @@ def generate_clients(
     raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
 
 
-# The pseudo-count ``normalize`` gives every class by default.
+# The pseudo-count ``normalize`` gives every class.
 SMOOTHING_EPSILON = 1e-6
 
 
-def normalize(
-    dist: LabelDistribution, epsilon: float = SMOOTHING_EPSILON
-) -> ProbabilityVector:
+def normalize(dist: LabelDistribution) -> ProbabilityVector:
     """Smooth a histogram into a strictly positive probability vector.
 
-    Every class receives ``(count + epsilon) / (total + C * epsilon)`` mass,
-    so an all-zero histogram maps to the uniform distribution whenever
-    ``epsilon > 0``. With ``epsilon == 0`` the plain empirical frequencies are
-    returned; the empty histogram then also falls back to uniform rather than
-    dividing by zero.
+    Every class receives ``(count + eps) / (total + C * eps)`` mass, with
+    ``eps = SMOOTHING_EPSILON``, so an all-zero histogram maps to the
+    uniform distribution.
     """
-    if epsilon < 0:
-        raise InvalidParameterError("epsilon must be non-negative")
     counts = dist.counts.astype(np.float64)
-    denom = counts.sum() + dist.num_classes * epsilon
-    if denom == 0.0:
-        probs = np.full(dist.num_classes, 1.0 / dist.num_classes)
-    else:
-        probs = (counts + epsilon) / denom
-    return ProbabilityVector(probs)
+    eps = SMOOTHING_EPSILON
+    return ProbabilityVector((counts + eps) / (counts.sum() + dist.num_classes * eps))
 
 
 def materialize(

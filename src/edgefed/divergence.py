@@ -82,18 +82,14 @@ class SmoothnessEstimate:
     combined: float
 
 
-def lipschitz_bound(datasets) -> SmoothnessEstimate:
+def lipschitz_bound(datasets: Sequence[Dataset]) -> SmoothnessEstimate:
     """Conservative smoothness constants for softmax cross-entropy.
 
     For each dataset the constant is ``max_i ||x_i||^2``, the largest squared
     feature norm, which upper-bounds the loss curvature under mean reduction.
     The combined constant is the data-size weighted average, matching how the
     population loss mixes the server losses.
-
-    Accepts a single dataset or a sequence of them.
     """
-    if isinstance(datasets, Dataset):
-        datasets = [datasets]
     if len(datasets) == 0:
         raise InvalidInputError("need at least one dataset")
     per_server = []
@@ -205,26 +201,20 @@ class DivergenceReport:
 
 
 def audit_drift_bound(
-    paired: PairedRun,
-    server_datasets: Sequence[Dataset],
-    gammas: np.ndarray | None = None,
-    smoothness: SmoothnessEstimate | None = None,
+    paired: PairedRun, server_datasets: Sequence[Dataset]
 ) -> DivergenceReport:
     """Check the drift bound against a paired run, round by round.
 
     The divergence level entering round t is the running maximum of the
-    measured per-server gradient divergences at the start-of-round models of
-    the heterogeneous (left) trajectory. The bound accumulates through the
-    recurrence in :func:`drift_bound`; a round holds when the measured gap
-    does not exceed the bound beyond a small slack.
+    per-server gradient divergences measured at the start-of-round models of
+    the heterogeneous (left) trajectory. The smoothness constants come from
+    :func:`lipschitz_bound` over the same datasets. The bound accumulates
+    through the recurrence in :func:`drift_bound`; a round holds when the
+    measured gap does not exceed the bound beyond a small slack.
 
     Args:
         paired: lock-step trajectories from :func:`federated.run_paired`.
         server_datasets: the heterogeneous server datasets of the left run.
-        gammas: optional precomputed divergence matrix with one row per
-            start-of-round snapshot; measured from the trajectory when absent.
-        smoothness: optional precomputed constants; derived from the
-            datasets when absent.
     """
     rounds = len(paired.distances)
     if len(paired.left_params) != len(paired.right_params):
@@ -233,17 +223,8 @@ def audit_drift_bound(
         raise InvalidComparisonError("trajectory snapshots do not match round count")
     if len(server_datasets) == 0:
         raise InvalidInputError("need the heterogeneous server datasets")
-    if smoothness is None:
-        smoothness = lipschitz_bound(list(server_datasets))
-    if gammas is None:
-        gammas = measure_gradient_divergences(
-            paired.left_params[:rounds], server_datasets
-        )
-    gammas = np.asarray(gammas, dtype=np.float64)
-    if gammas.shape != (rounds, len(server_datasets)):
-        raise DimensionMismatchError(
-            f"gamma matrix must be ({rounds}, {len(server_datasets)})"
-        )
+    smoothness = lipschitz_bound(server_datasets)
+    gammas = measure_gradient_divergences(paired.left_params[:rounds], server_datasets)
     phi = paired.cfg.phi
     sizes = smoothness.sizes
     running = np.zeros(len(server_datasets))

@@ -46,21 +46,6 @@ class ModelParams:
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "bias", _frozen(b))
 
-    @classmethod
-    def _wrap(cls, weights: np.ndarray, bias: np.ndarray) -> "ModelParams":
-        """Freeze fresh float64 arrays in place, skipping the checks and copies.
-
-        Only for arrays this module has just computed and no caller can
-        reach, so marking them read-only is all the public constructor's
-        copy would add.
-        """
-        weights.flags.writeable = False
-        bias.flags.writeable = False
-        out = object.__new__(cls)
-        object.__setattr__(out, "weights", weights)
-        object.__setattr__(out, "bias", bias)
-        return out
-
     @property
     def num_classes(self) -> int:
         return int(self.weights.shape[0])
@@ -215,7 +200,7 @@ def loss_and_grad(params: ModelParams, dataset: Dataset):
     """
     stack = _Stack([dataset], params.num_classes)
     losses, grad_w, grad_b = _softmax_pass(params.weights[None], params.bias[None], stack)
-    return float(losses[0]), ModelParams._wrap(grad_w[0], grad_b[0])
+    return float(losses[0]), ModelParams(grad_w[0], grad_b[0])
 
 
 def evaluate_accuracy(params: ModelParams, dataset: Dataset) -> float:
@@ -261,10 +246,6 @@ def _local_steps(weights: np.ndarray, bias: np.ndarray, stacks, phi: float):
     return weights, bias
 
 
-def _unstack(weights: np.ndarray, bias: np.ndarray) -> list:
-    return [ModelParams._wrap(w, b) for w, b in zip(weights, bias)]
-
-
 def server_gradients(snapshots: Sequence[ModelParams], datasets: Sequence[Dataset]):
     """Yield, per snapshot, each dataset's ``loss_and_grad`` gradient there.
 
@@ -277,7 +258,7 @@ def server_gradients(snapshots: Sequence[ModelParams], datasets: Sequence[Datase
         _, grad_w, grad_b = _softmax_pass(
             np.stack([w.weights] * len(datasets)), np.stack([w.bias] * len(datasets)), stack
         )
-        yield _unstack(grad_w, grad_b)
+        yield [ModelParams(w, b) for w, b in zip(grad_w, grad_b)]
 
 
 def local_update(
@@ -297,7 +278,21 @@ def local_update(
     stack = _Stack([dataset], params.num_classes)
     steps = _step_stacks([dataset], stack, cfg, rng)
     weights, bias = _local_steps(params.weights[None], params.bias[None], steps, cfg.phi)
-    return _unstack(weights, bias)[0]
+    return ModelParams(weights[0], bias[0])
+
+
+def _average(weights: np.ndarray, bias: np.ndarray, sizes: Sequence[int]) -> ModelParams:
+    """Data-size weighted average of stacked (S, C, d) weights and (S, C) biases.
+
+    The sum starts from zeros and adds each model's share in stack order.
+    """
+    total = float(sum(sizes))
+    w = np.zeros(weights.shape[1:])
+    b = np.zeros(bias.shape[1:])
+    for k, s in enumerate(sizes):
+        w += (s / total) * weights[k]
+        b += (s / total) * bias[k]
+    return ModelParams(w, b)
 
 
 def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParams:
@@ -306,18 +301,13 @@ def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParam
         raise InvalidInputError("nothing to aggregate")
     if len(models) != len(sizes):
         raise DimensionMismatchError("one size per model required")
-    total = float(sum(sizes))
-    if total <= 0:
+    if float(sum(sizes)) <= 0:
         raise InvalidInputError("total data size must be positive")
-    shape = models[0].weights.shape
-    w = np.zeros(shape)
-    b = np.zeros(shape[0])
-    for m, s in zip(models, sizes):
-        if m.weights.shape != shape:
-            raise DimensionMismatchError("models disagree on parameter shape")
-        w += (s / total) * m.weights
-        b += (s / total) * m.bias
-    return ModelParams(w, b)
+    if any(m.weights.shape != models[0].weights.shape for m in models):
+        raise DimensionMismatchError("models disagree on parameter shape")
+    return _average(
+        np.stack([m.weights for m in models]), np.stack([m.bias for m in models]), sizes
+    )
 
 
 def run_fl(
@@ -362,7 +352,7 @@ def run_fl(
             _step_stacks(server_datasets, stack, cfg, rng),
             cfg.phi,
         )
-        current = aggregate(_unstack(weights, bias), sizes)
+        current = _average(weights, bias, sizes)
         per_server = _softmax_pass(weights, bias, stack, grads=False).tolist()
         g_loss = float(sum((s / total) * l for s, l in zip(sizes, per_server)))
         acc = evaluate_accuracy(current, eval_set) if eval_set is not None else float("nan")
@@ -443,9 +433,8 @@ def run_paired(
             stacks,
             cfg.phi,
         )
-        models = _unstack(weights, bias)
-        w = aggregate(models[:half], sizes)
-        v = aggregate(models[half:], sizes)
+        w = _average(weights[:half], bias[:half], sizes)
+        v = _average(weights[half:], bias[half:], sizes)
         left_snaps.append(w)
         right_snaps.append(v)
         gaps.append(w.distance(v))

@@ -41,6 +41,7 @@ from .network import (
     OffloadPlan,
     RadioConfig,
     Topology,
+    TopologyParams,
     assign_subcarriers,
     place_topology,
     system_cost,
@@ -59,25 +60,6 @@ OUTPUT_DIR_ENV = "EDGEFED_OUT"
 TRACE_HEADER = "round,server,kl,total,device"
 METRICS_HEADER = "round,loss,accuracy"
 POWER_HEADER = "device,server,subcarrier,power_w,energy_j"
-
-
-@dataclass(frozen=True)
-class TopologyParams:
-    num_servers: int = 10
-    devices_per_server: int = 20
-    cell_radius: float = 500.0
-    path_loss_exponent: float = 3.0
-    reference_gain: float = 1e-3
-    reference_distance: float = 1.0
-    fading: bool = True
-
-    def __post_init__(self):
-        for name in ("num_servers", "devices_per_server"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be at least 1")
-        for name in ("cell_radius", "path_loss_exponent", "reference_gain", "reference_distance"):
-            if getattr(self, name) <= 0:
-                raise InvalidParameterError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,6 +93,11 @@ class SchedulerParams:
     policy: str = Policy.MIN_KL.value
     stop_at_threshold: bool = False
 
+    def __post_init__(self):
+        if self.gamma < 1:
+            raise InvalidParameterError("gamma must be positive")
+        Policy.parse(self.policy)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -125,6 +112,10 @@ class ScenarioConfig:
     audit: bool = True
     tags: tuple = ()
     out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return _to_plain(self)
@@ -254,16 +245,7 @@ def build_population(cfg: ScenarioConfig):
     total_devices = cfg.topology.num_servers * cfg.topology.devices_per_server
     dists = generate_clients(cfg.data.profile, total_devices, data_rng)
     topo = place_topology(
-        cfg.topology.num_servers,
-        cfg.topology.devices_per_server,
-        cfg.topology.cell_radius,
-        topo_rng,
-        dists=dists,
-        bits_per_sample=cfg.data.bits_per_sample,
-        exponent=cfg.topology.path_loss_exponent,
-        reference_gain=cfg.topology.reference_gain,
-        reference_distance=cfg.topology.reference_distance,
-        fading=cfg.topology.fading,
+        cfg.topology, topo_rng, dists=dists, bits_per_sample=cfg.data.bits_per_sample
     )
     return dists, topo
 

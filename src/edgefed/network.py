@@ -62,6 +62,25 @@ class RadioConfig:
 
 
 @dataclass(frozen=True)
+class TopologyParams:
+    num_servers: int = 10
+    devices_per_server: int = 20
+    cell_radius: float = 500.0
+    path_loss_exponent: float = 3.0
+    reference_gain: float = 1e-3
+    reference_distance: float = 1.0
+    fading: bool = True
+
+    def __post_init__(self):
+        for name in ("num_servers", "devices_per_server"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be at least 1")
+        for name in ("cell_radius", "path_loss_exponent", "reference_gain", "reference_distance"):
+            if getattr(self, name) <= 0:
+                raise InvalidParameterError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
 class Server:
     id: int
     position: tuple
@@ -171,17 +190,11 @@ def _hex_centers(num_servers: int, cell_radius: float) -> list:
 
 
 def place_topology(
-    num_servers: int,
-    devices_per_server: int,
-    cell_radius: float,
+    params: TopologyParams,
     rng: np.random.Generator,
     *,
     dists: Sequence[LabelDistribution] | None = None,
     bits_per_sample: int = DEFAULT_BITS_PER_SAMPLE,
-    exponent: float = 3.0,
-    reference_gain: float = 1e-3,
-    reference_distance: float = 1.0,
-    fading: bool = True,
 ) -> Topology:
     """Place servers on a hex lattice and scatter devices inside their cells.
 
@@ -193,9 +206,8 @@ def place_topology(
     (devices x servers) block of Exp(1) fading draws multiplied in.
 
     Args:
-        num_servers: number of edge servers.
-        devices_per_server: devices homed to each server.
-        cell_radius: service disc radius in metres.
+        params: lattice size, cell radius and channel model; a scenario's
+            ``topology`` section, whose constructor checks every range.
         rng: placement and fading randomness.
         dists: optional per-device label histograms, server-major order;
             defaults to one sample per class over ten classes.
@@ -204,11 +216,8 @@ def place_topology(
     Returns:
         The placed, immutable topology.
     """
-    if num_servers < 1 or devices_per_server < 0:
-        raise InvalidParameterError("need at least one server")
-    if cell_radius <= 0:
-        raise InvalidParameterError("cell radius must be positive")
-    total_devices = num_servers * devices_per_server
+    num_servers, cell_radius = params.num_servers, params.cell_radius
+    total_devices = num_servers * params.devices_per_server
     if dists is None:
         dists = [uniform_distribution(10, 10) for _ in range(total_devices)]
     if len(dists) != total_devices:
@@ -220,7 +229,7 @@ def place_topology(
     devices = []
     device_id = 0
     for s, (cx, cy) in enumerate(centers):
-        for _ in range(devices_per_server):
+        for _ in range(params.devices_per_server):
             while True:
                 radius = cell_radius * math.sqrt(float(rng.random()))
                 angle = 2.0 * math.pi * float(rng.random())
@@ -243,17 +252,17 @@ def place_topology(
     gains = np.array(
         [
             channel_gain(
-                max(math.dist(dev.position, c), reference_distance),
-                exponent,
-                reference_gain=reference_gain,
-                reference_distance=reference_distance,
+                max(math.dist(dev.position, c), params.reference_distance),
+                params.path_loss_exponent,
+                reference_gain=params.reference_gain,
+                reference_distance=params.reference_distance,
                 fading=False,
             )
             for dev in devices
             for c in centers
         ]
     ).reshape(total_devices, num_servers)
-    if fading:
+    if params.fading:
         gains *= rng.exponential(1.0, size=gains.shape)
     return Topology(servers, tuple(devices), cell_radius, gains)
 

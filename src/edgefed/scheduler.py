@@ -4,11 +4,12 @@ The divergence-aware policy greedily hands each server the candidate whose
 label distribution is closest, in KL divergence, to what the server still
 needs to reach the global target. Each server's candidates are smoothed once
 into an (n x C) probability matrix, and every step scores all remaining rows
-in one array op. Two baselines are provided: nearest device first, ordered
-by one sort per server, and uniformly random order, one draw per step. All
-policies trace the KL divergence of the growing server dataset against the
-global target after every merge; each server's trace is one array op over
-the cumulative counts of its picked devices, after its pick loop.
+in one array op against the demand left by the server's held count row.
+Two baselines are provided: nearest device first, ordered by one sort per
+server, and uniformly random order, one draw per step. All policies trace
+the KL divergence of the growing server dataset against the global target
+after every merge; each server's trace is one array op over the cumulative
+counts of its picked devices, after its pick loop.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .distributions import (
 )
 # ``kl`` is not called here, but the benchmark's tracer wraps ``scheduler.kl``
 # by name, so it stays importable from this module.
-from .divergence import complement, kl  # noqa: F401
-from .errors import InvalidParameterError
+from .divergence import kl  # noqa: F401
+from .errors import DimensionMismatchError, InvalidParameterError
 from .network import (
     OffloadPlan,
     RadioConfig,
@@ -141,18 +142,15 @@ def uniform_target(num_servers: int, gamma: int, num_classes: int) -> LabelDistr
     return uniform_distribution(num_classes, num_servers * gamma)
 
 
-def serviceable_set(server_id: int, topo: Topology, taken=frozenset()) -> list:
-    """Device ids a server may still pull data from, ascending.
+def serviceable_set(server_id: int, topo: Topology) -> list:
+    """Device ids a server may pull data from, ascending.
 
-    A device qualifies when the server is its home (nearest) server, it has
-    not been claimed yet, and it actually holds samples.
+    A device qualifies when the server is its home (nearest) server and it
+    actually holds samples.
     """
-    out = [
-        d.id
-        for d in topo.devices
-        if d.home_server == server_id and d.id not in taken and d.dist.total() > 0
-    ]
-    return sorted(out)
+    return sorted(
+        d.id for d in topo.devices if d.home_server == server_id and d.dist.total() > 0
+    )
 
 
 def _smoothed_rows(counts: np.ndarray) -> np.ndarray:
@@ -180,18 +178,18 @@ def _kl_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(np.sum(probs * np.log(probs / q), axis=1), 0.0)
 
 
-def _kl_scores(
-    probs: np.ndarray, server_dist: LabelDistribution, target: LabelDistribution
-) -> np.ndarray:
+def _kl_scores(probs: np.ndarray, held: np.ndarray, target_counts: np.ndarray) -> np.ndarray:
     """KL divergence of every row of ``probs`` to the server's remaining demand.
 
-    The demand is the smoothed complement of the target against what the
-    server already holds. Each entry equals ``kl(row, demand)`` bit for bit.
+    The demand is the smoothed shortfall of the target counts against the
+    counts the server already holds, ``normalize(complement(target, held))``
+    bit for bit. Each entry equals ``kl(row, demand)`` bit for bit.
     """
-    return _kl_rows(probs, normalize(complement(target, server_dist)).probs)
+    demand = _smoothed_rows(np.maximum(target_counts - held, 0)[None])[0]
+    return _kl_rows(probs, demand)
 
 
-def _min_kl_picker(ids, dists, target):
+def _min_kl_picker(ids, dists, target_counts):
     """Greedy min-KL order: one array op over the remaining candidates per step.
 
     ``argmin`` returns the first minimum and rows are in ascending id, so
@@ -200,8 +198,8 @@ def _min_kl_picker(ids, dists, target):
     probs = _candidate_probs(ids, dists)
     taken = np.zeros(len(ids), dtype=bool)
 
-    def pick(server_dist):
-        scores = _kl_scores(probs, server_dist, target)
+    def pick(held):
+        scores = _kl_scores(probs, held, target_counts)
         scores[taken] = np.inf
         i = int(np.argmin(scores))
         taken[i] = True
@@ -213,14 +211,14 @@ def _min_kl_picker(ids, dists, target):
 def _nearest_picker(ids, topo, server_id):
     """Nearest device first, lowest id on equal distance: one sort per server."""
     order = iter(sorted(ids, key=lambda u: (topo.distance(u, server_id), u)))
-    return lambda server_dist: next(order)
+    return lambda held: next(order)
 
 
 def _random_picker(ids, rng):
     """Uniformly random order, one draw over the remaining ids per step."""
     remaining = list(ids)
 
-    def pick(server_dist):
+    def pick(held):
         u = int(rng.choice(remaining))
         remaining.remove(u)
         return u
@@ -258,6 +256,8 @@ def run_scheduler(
     if cfg.policy == Policy.RANDOM and rng is None:
         raise InvalidParameterError("the random policy needs an rng")
     dists = {d.id: d.dist for d in topo.devices}
+    if any(d.num_classes != cfg.target.num_classes for d in dists.values()):
+        raise DimensionMismatchError("device histograms and target differ in class count")
     target_probs = normalize(cfg.target).probs
     trace_rows = []
     plan_pairs = []
@@ -267,20 +267,20 @@ def run_scheduler(
         if not ids:
             continue
         if cfg.policy == Policy.MIN_KL:
-            pick = _min_kl_picker(ids, dists, cfg.target)
+            pick = _min_kl_picker(ids, dists, cfg.target.counts)
         elif cfg.policy == Policy.NEAREST:
             pick = _nearest_picker(ids, topo, s)
         else:
             pick = _random_picker(ids, rng)
-        server_dist = LabelDistribution.zeros(cfg.target.num_classes)
+        held = np.zeros(cfg.target.num_classes, dtype=np.int64)
         plan_total = 0
         picked = []
         for _ in ids:
-            device = pick(server_dist)
+            device = pick(held)
             if plan_total < cfg.gamma:
                 plan_pairs.append((device, s))
                 plan_total += dists[device].total()
-            server_dist = server_dist.merge(dists[device])
+            held = held + dists[device].counts
             picked.append(device)
             if cfg.stop_at_threshold and plan_total >= cfg.gamma:
                 break

@@ -191,7 +191,7 @@ def test_group_weights_equal_weights_stay_uniform():
 
 
 def test_normalize_plain_counts():
-    p = normalize(LabelDistribution([10, 10, 10, 10]), epsilon=0.0)
+    p = normalize(LabelDistribution([10, 10, 10, 10]))
     assert np.allclose(p.probs, 0.25)
 
 

@@ -166,14 +166,14 @@ def test_measure_gradient_divergences_shape():
 
 def test_lipschitz_zero_features():
     ds = Dataset(np.zeros((5, 4)), np.zeros(5, dtype=int))
-    est = lipschitz_bound(ds)
+    est = lipschitz_bound([ds])
     assert est.per_server == (0.0,)
     assert est.combined == 0.0
 
 
 def test_lipschitz_single_sample():
     ds = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
-    assert lipschitz_bound(ds).per_server[0] == 4.0
+    assert lipschitz_bound([ds]).per_server[0] == 4.0
 
 
 def test_lipschitz_combined_is_weighted():
@@ -188,7 +188,7 @@ def test_lipschitz_bounds_measured_curvature():
     rng = default_rng(8)
     feats = rng.normal(size=(30, 6)) * 2.0
     ds = Dataset(feats, rng.integers(0, 4, size=30))
-    big_l = lipschitz_bound(ds).per_server[0]
+    big_l = lipschitz_bound([ds]).per_server[0]
     w = ModelParams(rng.normal(size=(4, 6)) * 0.3, rng.normal(size=4) * 0.3)
     h = 1e-4
     for _ in range(100):
@@ -208,7 +208,7 @@ def test_lipschitz_rejects_empty():
     with pytest.raises(InvalidInputError):
         lipschitz_bound([])
     with pytest.raises(InvalidInputError):
-        lipschitz_bound(Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+        lipschitz_bound([Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int))])
 
 
 # --------------------------------------------------------------- drift bound

@@ -370,6 +370,22 @@ def test_aggregate_weighted_mean_formula():
     assert np.array_equal(out.bias, (1 / 4) * a.bias + (3 / 4) * b.bias)
 
 
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_aggregate_equals_the_ordered_weighted_sum(count):
+    """Zeros, then each model's ``(s / total)`` share added in input order, bit for bit."""
+    models = [_random_model(40 + k) for k in range(count)]
+    sizes = [7 * k + 3 for k in range(count)]
+    total = float(sum(sizes))
+    w = np.zeros(models[0].weights.shape)
+    b = np.zeros(models[0].bias.shape)
+    for m, s in zip(models, sizes):
+        w += (s / total) * m.weights
+        b += (s / total) * m.bias
+    out = aggregate(models, sizes)
+    assert out.weights.tobytes() == w.tobytes()
+    assert out.bias.tobytes() == b.tobytes()
+
+
 def test_aggregate_permutation_invariance():
     a, b = _random_model(19), _random_model(20)
     fwd = aggregate([a, b], [2, 6])

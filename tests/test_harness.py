@@ -148,6 +148,9 @@ def test_config_from_json(tmp_path):
             {"data": {"eval_samples_per_class": 0}},
             "data: eval_samples_per_class must be at least 1",
         ),
+        ({"scheduler": {"gamma": 0}}, "scheduler: gamma must be positive"),
+        ({"scheduler": {"policy": "xyz"}}, "scheduler: unknown policy 'xyz'"),
+        ({"seed": -1}, "config: seed must be non-negative"),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):

@@ -20,6 +20,7 @@ from edgefed.network import (
     RadioConfig,
     Server,
     Topology,
+    TopologyParams,
     TransferRecord,
     assign_subcarriers,
     channel_gain,
@@ -52,7 +53,10 @@ def _single_cell_topology(gain_matrix, bits=100_000, num_servers=1):
 
 
 def test_single_cell_containment():
-    topo = place_topology(1, 30, 300.0, default_rng(1), fading=False)
+    topo = place_topology(
+        TopologyParams(num_servers=1, devices_per_server=30, cell_radius=300.0, fading=False),
+        default_rng(1),
+    )
     assert len(topo.devices) == 30
     for d in topo.devices:
         assert topo.distance(d.id, 0) <= 300.0 + 1e-9
@@ -60,7 +64,9 @@ def test_single_cell_containment():
 
 
 def test_large_layout_counts_and_homes():
-    topo = place_topology(10, 100, 500.0, default_rng(2), fading=False)
+    topo = place_topology(
+        TopologyParams(num_servers=10, devices_per_server=100, fading=False), default_rng(2)
+    )
     assert len(topo.devices) == 1000
     assert len(topo.servers) == 10
     # home server is the nearest server for every single device
@@ -70,28 +76,38 @@ def test_large_layout_counts_and_homes():
 
 
 def test_placement_determinism():
-    a = place_topology(3, 10, 400.0, default_rng(7))
-    b = place_topology(3, 10, 400.0, default_rng(7))
+    layout = TopologyParams(num_servers=3, devices_per_server=10, cell_radius=400.0)
+    a = place_topology(layout, default_rng(7))
+    b = place_topology(layout, default_rng(7))
     assert all(x.position == y.position for x, y in zip(a.devices, b.devices))
     assert np.array_equal(a.gains, b.gains)
-    c = place_topology(3, 10, 400.0, default_rng(8))
+    c = place_topology(layout, default_rng(8))
     assert not np.array_equal(a.gains, c.gains)
 
 
 def test_placement_custom_histograms_set_payloads():
     dists = [uniform_distribution(4, 12) for _ in range(6)]
-    topo = place_topology(2, 3, 200.0, default_rng(3), dists=dists, bits_per_sample=520)
+    topo = place_topology(
+        TopologyParams(num_servers=2, devices_per_server=3, cell_radius=200.0),
+        default_rng(3),
+        dists=dists,
+        bits_per_sample=520,
+    )
     for d in topo.devices:
         assert d.data_bits == 12 * 520
 
 
 def test_placement_validation():
     with pytest.raises(InvalidParameterError):
-        place_topology(0, 5, 100.0, default_rng(0))
+        place_topology(TopologyParams(num_servers=0, devices_per_server=5), default_rng(0))
     with pytest.raises(InvalidParameterError):
-        place_topology(1, 5, -10.0, default_rng(0))
+        place_topology(TopologyParams(num_servers=1, cell_radius=-10.0), default_rng(0))
     with pytest.raises(InvalidInputError):
-        place_topology(1, 5, 100.0, default_rng(0), dists=[uniform_distribution(4, 5)])
+        place_topology(
+            TopologyParams(num_servers=1, devices_per_server=5),
+            default_rng(0),
+            dists=[uniform_distribution(4, 5)],
+        )
 
 
 def _place_pairwise(num_servers, devices_per_server, cell_radius, rng, **kw):
@@ -141,7 +157,14 @@ def test_placement_equals_the_pairwise_formulation(layout, fading):
     kw.update({k: v for k, v in layout.items() if k in kw})
     shape = (layout["num_servers"], layout["devices_per_server"], layout["cell_radius"])
     fresh, old = default_rng(21), default_rng(21)
-    topo = place_topology(*shape, fresh, **kw)
+    params = TopologyParams(
+        *shape,
+        path_loss_exponent=kw["exponent"],
+        reference_gain=kw["reference_gain"],
+        reference_distance=kw["reference_distance"],
+        fading=kw["fading"],
+    )
+    topo = place_topology(params, fresh)
     positions, gains = _place_pairwise(*shape, old, **kw)
     assert [d.position for d in topo.devices] == positions
     assert topo.gains.tobytes() == gains.tobytes()

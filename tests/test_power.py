@@ -13,6 +13,7 @@ from edgefed.network import (
     RadioConfig,
     Server,
     Topology,
+    TopologyParams,
     assign_subcarriers,
     effective_interference,
     place_topology,
@@ -219,7 +220,8 @@ def test_solve_pair_record_is_consistent():
 def test_solve_pair_sinr_equals_network_sinr():
     """One noise floor per pair serves the coefficients and the SINR, bit for bit."""
     cfg = RadioConfig(subcarriers=4)
-    topo = place_topology(5, 12, 300.0, default_rng(4))
+    layout = TopologyParams(num_servers=5, devices_per_server=12, cell_radius=300.0)
+    topo = place_topology(layout, default_rng(4))
     pairs = [(d.id, d.home_server) for d in topo.devices]
     smap = assign_subcarriers(pairs, cfg.subcarriers)
     for pair in pairs:

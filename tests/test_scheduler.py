@@ -14,8 +14,8 @@ from edgefed.distributions import (
     uniform_distribution,
 )
 from edgefed.divergence import complement, kl
-from edgefed.errors import InvalidParameterError
-from edgefed.network import RadioConfig, TransferRecord, place_topology
+from edgefed.errors import DimensionMismatchError, InvalidParameterError
+from edgefed.network import RadioConfig, TopologyParams, TransferRecord, place_topology
 from edgefed.scheduler import (
     Policy,
     SchedulerConfig,
@@ -46,7 +46,8 @@ def _stub_solver(pair, smap, topo, radio):
 def _grouped_topology(seed, servers=4, per_server=15):
     profile = GroupedProfile()
     dists = generate_clients(profile, servers * per_server, default_rng(seed))
-    topo = place_topology(servers, per_server, 400.0, default_rng(seed + 1), dists=dists)
+    layout = TopologyParams(num_servers=servers, devices_per_server=per_server, cell_radius=400.0)
+    topo = place_topology(layout, default_rng(seed + 1), dists=dists)
     return topo
 
 
@@ -80,15 +81,25 @@ def test_scheduler_config_validation():
 # ---------------------------------------------------------------- candidates
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_scheduler_rejects_histograms_over_other_classes(policy):
+    topo = _grouped_topology(3, servers=2, per_server=5)  # ten classes
+    cfg = SchedulerConfig(gamma=50, target=uniform_target(2, 50, 4), policy=policy)
+    with pytest.raises(DimensionMismatchError):
+        run_scheduler(cfg, topo, RadioConfig(), default_rng(0), _stub_solver)
+
+
 def test_serviceable_set_filters():
     topo = _grouped_topology(3, servers=2, per_server=5)
     home0 = serviceable_set(0, topo)
     assert home0 == sorted(home0)
     assert all(topo.device(u).home_server == 0 for u in home0)
-    taken = frozenset(home0[:2])
-    assert serviceable_set(0, topo, taken) == home0[2:]
-    # all claimed -> nothing left
-    assert serviceable_set(0, topo, frozenset(home0)) == []
+    # devices without samples are never candidates
+    dists = [d.dist for d in topo.devices]
+    dists[home0[0]] = LabelDistribution.zeros(dists[0].num_classes)
+    layout = TopologyParams(num_servers=2, devices_per_server=5, cell_radius=400.0)
+    emptied = place_topology(layout, default_rng(4), dists=dists)
+    assert serviceable_set(0, emptied) == home0[1:]
 
 
 # ------------------------------------------------------------ greedy choice
@@ -96,7 +107,7 @@ def test_serviceable_set_filters():
 
 def _min_kl_pick(candidates, dists, server, target):
     """The device the scheduler's min-KL picker takes first for ``server``."""
-    return _min_kl_picker(sorted(candidates), dists, target)(server)
+    return _min_kl_picker(sorted(candidates), dists, target.counts)(server.counts)
 
 
 def test_min_kl_prefers_the_missing_class():
@@ -118,7 +129,7 @@ def test_min_kl_single_candidate_is_forced():
 def _assert_scores_match_oracle(candidates, dists, server, target):
     """The array scores equal the scalar ``kl`` of each candidate, bit for bit."""
     ids = sorted(candidates)
-    scores = _kl_scores(_candidate_probs(ids, dists), server, target)
+    scores = _kl_scores(_candidate_probs(ids, dists), server.counts, target.counts)
     demand = normalize(complement(target, server))
     oracle = [kl(normalize(dists[u]), demand) for u in ids]
     assert [float(x) for x in scores] == oracle
