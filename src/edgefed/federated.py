@@ -2,10 +2,11 @@
 
 The model is softmax regression with a bias term, trained by full-batch or
 minibatch gradient steps. Each local step evaluates every server's model in
-one class-major pass over all server data. Aggregation is the data-size
-weighted average of server models. A paired runner trains two server
-populations in lock step from a shared initialisation so their parameter
-trajectories can be compared round by round.
+one class-major pass over the server data, a bounded chunk of servers at a
+time. Aggregation is the data-size weighted average of server models. A
+paired runner trains two server populations in lock step from a shared
+initialisation so their parameter trajectories can be compared round by
+round.
 """
 
 from __future__ import annotations
@@ -113,15 +114,25 @@ class RoundMetrics:
     accuracy: float
 
 
-class _Stack:
-    """Datasets laid side by side as the column blocks of one class-major buffer.
+# Widest class-major buffer one pass allocates. Consecutive datasets share a
+# chunk up to this many columns, and a larger dataset is a chunk by itself,
+# so a pass's working set does not grow with the total sample count.
+_CHUNK_COLUMNS = 1 << 15
 
-    Dataset s owns columns ``blocks[s]`` of a (C, N) buffer, where N is the
-    total sample count, so one pass evaluates a model per dataset. Labels
-    are checked against the class range here, once per stack, not per pass.
+
+class _Stack:
+    """Datasets laid side by side as the column blocks of class-major chunks.
+
+    Each chunk is a (C, width) buffer over consecutive datasets, each owning
+    a column block. ``chunks`` holds, per chunk, its rows of the stack, its
+    width, each dataset's ``(index, features, columns)``, and the block
+    starts and label cells, all relative to the chunk. Labels are checked
+    against the class range here, once per stack, not per pass.
     """
 
     def __init__(self, datasets: Sequence[Dataset], num_classes: int):
+        if len(datasets) == 0:
+            raise InvalidInputError("need at least one dataset")
         sizes = [len(d) for d in datasets]
         if min(sizes) == 0:
             raise InvalidInputError("cannot evaluate a model on an empty dataset")
@@ -129,27 +140,60 @@ class _Stack:
         if labels.max() >= num_classes:
             raise InvalidInputError("label outside the model's class range")
         self.num_classes = num_classes
-        self.features = [d.features for d in datasets]
         self.sizes = np.array(sizes, dtype=np.float64)
-        self.starts = np.cumsum([0, *sizes[:-1]])
-        self.blocks = [slice(a, a + n) for a, n in zip(self.starts.tolist(), sizes)]
-        # Position of each sample's label cell in the flattened (C, N) buffer.
-        self.label_cells = labels * labels.size + np.arange(labels.size)
+        self.chunks = []
+        first = offset = 0
+        while first < len(sizes):
+            stop, width = first + 1, sizes[first]
+            while stop < len(sizes) and width + sizes[stop] <= _CHUNK_COLUMNS:
+                width += sizes[stop]
+                stop += 1
+            starts = np.cumsum([0, *sizes[first : stop - 1]])
+            blocks = [
+                (s, datasets[s].features, slice(a, a + sizes[s]))
+                for s, a in zip(range(first, stop), starts.tolist())
+            ]
+            # Position of each sample's label cell in the flattened chunk.
+            cells = labels[offset : offset + width] * width + np.arange(width)
+            self.chunks.append((slice(first, stop), width, blocks, starts, cells))
+            first, offset = stop, offset + width
 
 
 def _softmax_pass(weights: np.ndarray, bias: np.ndarray, stack: _Stack, grads=True):
     """Mean softmax cross-entropy of model s on dataset s, for every s at once.
 
     ``weights`` is (S, C, d) and ``bias`` (S, C), one model per dataset of
-    the stack. Class sums add rows in class order, and each sum over
-    samples stays inside one dataset's block, so dataset s gets the same
-    bits whatever else shares its stack.
+    the stack. The pass runs chunk by chunk, each in its own (C, width)
+    buffer that is freed before the next is allocated. Every op works on
+    single columns or inside one dataset's block: class sums add rows in
+    class order, and each sum over samples stays inside the block. So
+    dataset s gets the same bits whatever else shares its stack or chunk.
 
     Returns the (S,) losses and, when ``grads``, the (S, C, d) weight and
     (S, C) bias gradients. Finiteness is checked once, on the stacked result.
     """
-    z = np.empty((stack.num_classes, len(stack.label_cells)))
-    for s, (x, cols) in enumerate(zip(stack.features, stack.blocks)):
+    losses = np.empty(len(stack.sizes))
+    grad_w = np.empty(weights.shape) if grads else None
+    grad_b = np.empty(bias.shape) if grads else None
+    for chunk in stack.chunks:
+        _chunk_pass(weights, bias, stack.num_classes, chunk, losses, grad_w, grad_b)
+    losses /= stack.sizes
+    if not grads:
+        if not np.all(np.isfinite(losses)):
+            raise NumericalFailureError("non-finite loss")
+        return losses
+    grad_w /= stack.sizes[:, None, None]
+    grad_b /= stack.sizes[:, None]
+    if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grad_w))):
+        raise NumericalFailureError("non-finite loss or gradient")
+    return losses, grad_w, grad_b
+
+
+def _chunk_pass(weights, bias, num_classes, chunk, losses, grad_w, grad_b):
+    """Write one chunk's rows of the summed losses and, unless None, gradients."""
+    rows, width, blocks, starts, label_cells = chunk
+    z = np.empty((num_classes, width))
+    for s, x, cols in blocks:
         block = z[:, cols]
         np.matmul(weights[s], x.T, out=block)
         block += bias[s][:, None]
@@ -157,38 +201,32 @@ def _softmax_pass(weights: np.ndarray, bias: np.ndarray, stack: _Stack, grads=Tr
     # softmax minus the one-hot labels.
     z -= np.maximum.reduce(z, axis=0)
     cells = z.reshape(-1)
-    picked = cells[stack.label_cells]
+    picked = cells[label_cells]
     np.exp(z, out=z)
     # reduce adds row by row, except on a single column, which it would sum
     # pairwise; accumulate always adds row by row.
-    if z.shape[1] > 1:
+    if width > 1:
         denom = np.add.reduce(z, axis=0)
     else:
         denom = np.add.accumulate(z, axis=0)[-1]
-    losses = np.add.reduceat(np.log(denom) - picked, stack.starts) / stack.sizes
-    if not grads:
-        if not np.all(np.isfinite(losses)):
-            raise NumericalFailureError("non-finite loss")
-        return losses
+    losses[rows] = np.add.reduceat(np.log(denom) - picked, starts)
+    if grad_w is None:
+        return
     z /= denom
-    cells[stack.label_cells] -= 1.0
-    grad_w = np.empty(weights.shape)
-    for s, (x, cols) in enumerate(zip(stack.features, stack.blocks)):
+    cells[label_cells] -= 1.0
+    for s, x, cols in blocks:
         np.matmul(z[:, cols], x, out=grad_w[s])
-    grad_w /= stack.sizes[:, None, None]
-    grad_b = np.add.reduceat(z, stack.starts, axis=1).T / stack.sizes[:, None]
-    if not (np.all(np.isfinite(losses)) and np.all(np.isfinite(grad_w))):
-        raise NumericalFailureError("non-finite loss or gradient")
-    return losses, grad_w, grad_b
+    grad_b[rows] = np.add.reduceat(z, starts, axis=1).T
 
 
 def loss_and_grad(params: ModelParams, dataset: Dataset):
     """Mean softmax cross-entropy and its exact gradient.
 
     This is the one-dataset case of the pass that training runs over all
-    servers at once. The logits sit class-major in one C x n buffer; the
-    softmax reduces down its columns, and a call costs two (C, d) x (d, n)
-    matmuls plus a handful of O(Cn) array ops.
+    servers, chunk by chunk. A dataset is never split across chunks, so its
+    logits sit class-major in one C x n buffer; the softmax reduces down its
+    columns, and a call costs two (C, d) x (d, n) matmuls plus a handful of
+    O(Cn) array ops.
 
     Args:
         params: model to evaluate.
@@ -417,6 +455,8 @@ def run_paired(
     if cfg.batch_size is not None:
         raise InvalidComparisonError("paired runs are full batch only")
     both = [*left_datasets, *right_datasets]
+    if not both:
+        raise InvalidInputError("need at least one dataset")
     num_classes = 1 + max(int(d.labels.max()) for d in both)
     start = init if init is not None else ModelParams.zeros(num_classes, both[0].feat_dim)
     # Both arms train side by side in one stack: left servers, then right.

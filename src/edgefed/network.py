@@ -25,6 +25,11 @@ from .errors import (
 # Default payload per sample: 16 float32 features plus one label byte.
 DEFAULT_BITS_PER_SAMPLE = 8 * (16 * 4 + 1)
 
+# Transmit floor in watts. The energy objective is strictly increasing in p,
+# so every pair is priced here; a zero floor would mean p = 0 and an
+# unbounded transfer time.
+DEFAULT_P_MIN = 1e-3
+
 
 @dataclass(frozen=True)
 class RadioConfig:
@@ -51,8 +56,10 @@ class RadioConfig:
             raise InvalidParameterError("need at least one subcarrier")
         if self.noise_power <= 0:
             raise InvalidParameterError("noise power must be positive")
-        if self.max_power <= 0:
-            raise InvalidParameterError("max power must be positive")
+        if self.max_power <= DEFAULT_P_MIN:
+            raise InvalidParameterError(
+                f"max power must exceed the {DEFAULT_P_MIN} W transmit floor"
+            )
         if not (0 < self.rated_power <= self.max_power):
             raise InvalidParameterError("rated power must lie in (0, max_power]")
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .network import (
+    DEFAULT_P_MIN,
     RadioConfig,
     SubcarrierMap,
     Topology,
@@ -29,11 +30,6 @@ from .network import (
     rate,
     transfer_time,
 )
-
-# Transmit floor in watts. The energy objective is strictly increasing in p,
-# so every pair is priced here; a zero floor would mean p = 0 and an
-# unbounded transfer time.
-DEFAULT_P_MIN = 1e-3
 
 
 @dataclass(frozen=True)

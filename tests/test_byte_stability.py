@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from edgefed import federated
 from edgefed.harness import ScenarioConfig, desk_config, emit, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
@@ -47,3 +48,20 @@ def test_emitted_artifacts_match_their_pinned_digests(name, tmp_path):
         f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in PINNED[name]
     }
     assert got == PINNED[name]
+
+
+def test_small_chunks_emit_the_same_bytes(tmp_path, monkeypatch):
+    """Splitting the training pass into chunks moves no emitted byte.
+
+    This covers ``metrics.csv`` and the audit in ``summary.json``, which the
+    digests above leave out, by comparing two runs in one process.
+    """
+    written = {}
+    for chunk_columns in (federated._CHUNK_COLUMNS, 64):
+        monkeypatch.setattr(federated, "_CHUNK_COLUMNS", chunk_columns)
+        out = tmp_path / str(chunk_columns)
+        paths = emit(run_scenario(desk_config(seed=1)), out)
+        written[chunk_columns] = {Path(p).name: Path(p).read_bytes() for p in paths}
+    default, small = written.values()
+    assert len(default) == 5
+    assert small == default

@@ -2,11 +2,13 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from edgefed import federated
 from edgefed.distributions import (
     Dataset,
     LabelDistribution,
@@ -33,6 +35,7 @@ from edgefed.federated import (
     loss_and_grad,
     run_fl,
     run_paired,
+    server_gradients,
 )
 from edgefed.rng import substream
 
@@ -98,6 +101,11 @@ def test_empty_dataset_is_rejected():
         loss_and_grad(ModelParams.zeros(4, 6), empty)
     with pytest.raises(InvalidInputError):
         evaluate_accuracy(ModelParams.zeros(4, 6), empty)
+    # An empty list of datasets, not only an empty dataset.
+    with pytest.raises(InvalidInputError, match="need at least one dataset"):
+        run_paired([], [], TrainConfig())
+    with pytest.raises(InvalidInputError, match="need at least one dataset"):
+        list(server_gradients([ModelParams.zeros(10, 4)], []))
 
 
 def test_label_out_of_range_is_rejected():
@@ -249,6 +257,52 @@ def test_run_paired_equals_per_server_updates():
             assert np.array_equal(got.weights, ref.weights)
             assert np.array_equal(got.bias, ref.bias)
         assert paired.distances[t - 1] == w.distance(v)
+
+
+# Column caps that split ``_unequal_servers`` (140, 1, 37, 2 and 96 samples)
+# into chunks, with the widths they give. At 1 every server is a chunk, and the
+# 1-sample one takes the single-column branch; at 140 the 140-sample server is
+# a chunk alone and the other four share one.
+SMALL_CHUNKS = {1: [140, 1, 37, 2, 96], 140: [140, 136]}
+
+
+@pytest.mark.parametrize("chunk_columns", sorted(SMALL_CHUNKS))
+def test_stacked_pass_equals_each_server_alone_in_small_chunks(chunk_columns, monkeypatch):
+    monkeypatch.setattr(federated, "_CHUNK_COLUMNS", chunk_columns)
+    stack = _Stack(_unequal_servers(), 10)
+    assert [width for _, width, *_ in stack.chunks] == SMALL_CHUNKS[chunk_columns]
+    test_stacked_pass_equals_each_server_alone()
+
+
+@pytest.mark.parametrize("chunk_columns", sorted(SMALL_CHUNKS))
+@pytest.mark.parametrize("batch_size", [None, 1, 16])
+def test_run_fl_equals_per_server_updates_in_small_chunks(batch_size, chunk_columns, monkeypatch):
+    monkeypatch.setattr(federated, "_CHUNK_COLUMNS", chunk_columns)
+    test_run_fl_equals_per_server_updates(batch_size)
+
+
+@pytest.mark.parametrize("chunk_columns", sorted(SMALL_CHUNKS))
+def test_run_paired_equals_per_server_updates_in_small_chunks(chunk_columns, monkeypatch):
+    monkeypatch.setattr(federated, "_CHUNK_COLUMNS", chunk_columns)
+    test_run_paired_equals_per_server_updates()
+
+
+def test_pass_working_set_is_bounded_by_the_chunk():
+    """One pass over 200,000 samples stays under half of their (C, N) buffer."""
+    rng = default_rng(75)
+    parts = [
+        Dataset(rng.normal(size=(25_000, 6)), rng.integers(0, 10, size=25_000)) for _ in range(8)
+    ]
+    stack = _Stack(parts, 10)
+    weights = rng.normal(size=(8, 10, 6))
+    bias = rng.normal(size=(8, 10))
+    tracemalloc.start()
+    try:
+        _softmax_pass(weights, bias, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 200_000 * 8 / 2
 
 
 def test_label_range_is_checked_when_the_stack_is_built():

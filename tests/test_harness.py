@@ -27,7 +27,7 @@ from edgefed.harness import (
     server_datasets_from_plan,
     sweep,
 )
-from edgefed.network import RadioConfig, assign_subcarriers, system_cost
+from edgefed.network import assign_subcarriers, system_cost
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
@@ -151,6 +151,10 @@ def test_config_from_json(tmp_path):
         ({"scheduler": {"gamma": 0}}, "scheduler: gamma must be positive"),
         ({"scheduler": {"policy": "xyz"}}, "scheduler: unknown policy 'xyz'"),
         ({"seed": -1}, "config: seed must be non-negative"),
+        (
+            {"radio": {"max_power": 0.0005, "rated_power": 0.0005}},
+            "radio: max power must exceed the 0.001 W transmit floor",
+        ),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):
@@ -363,14 +367,15 @@ def test_sweep_one_bundle_per_gamma():
         assert res["bundle"].config["scheduler"]["gamma"] == cfg.scheduler.gamma
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_isolates_failures():
     good = _tiny_config(seed=30)
-    # power box collapses below the 1 mW floor, so pricing must fail
-    bad = _tiny_config(seed=31, radio=RadioConfig(max_power=1e-9, rated_power=1e-9))
+    # the config loads, but so huge a rate overflows the first local step
+    bad = _tiny_config(seed=31, train=TrainConfig(phi=1e308, local_steps=1, rounds=3))
     results = sweep([good, bad])
     assert results[0]["ok"]
     assert not results[1]["ok"]
-    assert "type" in results[1]["error"]
+    assert results[1]["error"]["type"] == "NumericalFailureError"
 
 
 # ----------------------------------------------------------------------- cli

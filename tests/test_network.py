@@ -378,4 +378,7 @@ def test_radio_config_validation():
         RadioConfig(subcarriers=0)
     with pytest.raises(InvalidParameterError):
         RadioConfig(rated_power=2.0, max_power=1.0)
+    # pricing puts every pair at the 1 mW floor, so the ceiling must lie above it
+    with pytest.raises(InvalidParameterError, match="transmit floor"):
+        RadioConfig(max_power=1e-3, rated_power=1e-3)
     assert RadioConfig().subcarrier_bandwidth == 39062.5
