@@ -32,6 +32,11 @@ PINNED = {
         "plan.json": "69c603ae62198acadbba7361bb80c5f6ae011127249e517b0560543c5c63290a",
         "power.csv": "42539e0e80d94224092ad4025d28222baecda545936fdb1f979f2e8a03e04bec",
     },
+    "golden": {
+        "trace.csv": "425b8d2ac9c5361f151e7588dbaf71acf66e3d02de285da409590e04a89643a9",
+        "plan.json": "62baef2d8cb27f379b8c440a2de58b9f44e26d6d4915fbe11c052c1556c07dd1",
+        "power.csv": "930b3158ba1dd9de2f55d0275f388d0eee28278599f603c943a8bf3258e48736",
+    },
 }
 
 
