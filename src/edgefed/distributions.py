@@ -9,6 +9,7 @@ high expected count and the remaining classes stay rare.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -68,6 +69,19 @@ class LabelDistribution:
         if num_classes < 2:
             raise InvalidInputError("label histogram needs at least two classes")
         return LabelDistribution(np.zeros(num_classes, dtype=np.int64))
+
+    @classmethod
+    def _wrap(cls, counts: np.ndarray) -> "LabelDistribution":
+        """Freeze a fresh int64 count row in place, skipping validation and the copy.
+
+        Only for rows this module has just built as non-negative counts over
+        at least two classes, which no caller can reach, so marking them
+        read-only is all the public constructor would add.
+        """
+        counts.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "counts", counts)
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,6 +183,12 @@ class GroupedProfile:
             if (w < 0).any() or w.sum() <= 0:
                 raise InvalidParameterError(
                     "group weights must be non-negative with positive sum"
+                )
+            need = math.ceil(self.num_high_classes / self.group_size)
+            if np.count_nonzero(w) < need:
+                raise InvalidParameterError(
+                    f"group_weights: a client needs {need} groups, "
+                    f"but only {np.count_nonzero(w)} weights are positive"
                 )
 
 
@@ -320,41 +340,85 @@ def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> Probab
     return ProbabilityVector(draw)
 
 
-def _grouped_high_classes(profile: GroupedProfile, rng: np.random.Generator) -> np.ndarray:
-    """Pick the high-count class indices for one client."""
-    num_groups = math.ceil(profile.num_classes / profile.group_size)
-    need = math.ceil(profile.num_high_classes / profile.group_size)
+def _high_class_picker(profile: GroupedProfile, rng: np.random.Generator):
+    """Return a function that draws one client's high-class mask, a (C,) bool row.
+
+    The draws are those of ``rng.choice(G, size=need, replace=False, p=w)``
+    over the G groups. For one group that call is one ``rng.random()`` looked
+    up in the normalised cumulative weights, or one ``rng.integers(0, G)``
+    without weights, and those are drawn directly; more groups keep
+    ``choice``. The chosen groups' classes, in draw order, are cut to the
+    first ``num_high_classes``.
+    """
+    size, num_classes = profile.group_size, profile.num_classes
+    num_groups = math.ceil(num_classes / size)
+    need = min(math.ceil(profile.num_high_classes / size), num_groups)
     weights = None
     if profile.group_weights is not None:
         weights = np.asarray(profile.group_weights, dtype=np.float64)
         weights = weights / weights.sum()
-    chosen = rng.choice(num_groups, size=min(need, num_groups), replace=False, p=weights)
-    classes = []
-    for g in chosen:
-        start = int(g) * profile.group_size
-        stop = min(start + profile.group_size, profile.num_classes)
-        classes.extend(range(start, stop))
-    return np.asarray(classes[: profile.num_high_classes], dtype=np.int64)
+    if need > 1:
+
+        def pick():
+            chosen = rng.choice(num_groups, size=need, replace=False, p=weights)
+            classes = [
+                c for g in chosen.tolist()
+                for c in range(g * size, min(g * size + size, num_classes))
+            ]
+            mask = np.zeros(num_classes, dtype=bool)
+            mask[classes[: profile.num_high_classes]] = True
+            return mask
+
+        return pick
+    table = np.zeros((num_groups, num_classes), dtype=bool)
+    for g in range(num_groups):
+        table[g, g * size : g * size + profile.num_high_classes] = True
+    if weights is None:
+        return lambda: table[int(rng.integers(0, num_groups))]
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    return lambda: table[bisect.bisect_right(cdf, rng.random())]
 
 
-def _grouped_histogram(
-    profile: GroupedProfile, high: np.ndarray, rng: np.random.Generator
-) -> LabelDistribution:
-    counts = np.empty(profile.num_classes, dtype=np.int64)
-    high_set = set(int(h) for h in high)
-    for c in range(profile.num_classes):
-        if c in high_set:
-            draw = rng.normal(profile.high_mean, profile.high_std)
-        else:
-            draw = rng.normal(profile.low_mean, profile.low_std)
-        counts[c] = max(0, int(round(draw)))
-    return LabelDistribution(counts)
+def _grouped_counts(
+    profile: GroupedProfile, num_clients: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(num_clients, C) int64 counts: per client its high-class draw, then C normals.
+
+    ``rng.normal(loc, scale)`` is ``loc + scale * standard_normal()`` bit for
+    bit, so each row's standard normals are drawn in the stream's order and
+    scaled once for all clients. ``rint`` rounds half to even, as ``round``
+    does.
+    """
+    pick = _high_class_picker(profile, rng)
+    if profile.redraw_per_client:
+        high = np.empty((num_clients, profile.num_classes), dtype=bool)
+        z = np.empty(high.shape)
+        for i in range(num_clients):
+            high[i] = pick()
+            rng.standard_normal(out=z[i])
+    else:
+        high = pick()
+        z = rng.standard_normal((num_clients, profile.num_classes))
+    mean = np.where(high, float(profile.high_mean), float(profile.low_mean))
+    std = np.where(high, float(profile.high_std), float(profile.low_std))
+    draws = np.rint(mean + std * z)
+    if not (np.isfinite(draws).all() and draws.max() < 2.0**63):
+        raise OverflowError("a grouped label count draw does not fit in int64")
+    return np.maximum(draws, 0).astype(np.int64)
 
 
 def generate_clients(
     profile: NonIidProfile, num_clients: int, rng: np.random.Generator
 ) -> list:
     """Generate one label histogram per client under the given profile.
+
+    A grouped client draws its high groups, then one normal per class in
+    class order. The bytes of a population therefore depend on numpy's
+    ``Generator.choice`` algorithm, which this function reproduces for one
+    group with ``random`` (weighted) or ``integers`` (uniform), and on those
+    two methods' algorithms.
 
     Args:
         profile: Dirichlet or grouped skew description.
@@ -367,23 +431,17 @@ def generate_clients(
     """
     if num_clients <= 0:
         raise InvalidParameterError("num_clients must be positive")
-    out = []
     if isinstance(profile, DirichletProfile):
+        out = []
         for _ in range(num_clients):
             theta = sample_dirichlet(profile.alpha, rng)
             counts = rng.multinomial(profile.samples_per_client, theta.probs)
             out.append(LabelDistribution(counts))
         return out
     if isinstance(profile, GroupedProfile):
-        shared_high = None
-        if not profile.redraw_per_client:
-            shared_high = _grouped_high_classes(profile, rng)
-        for _ in range(num_clients):
-            high = shared_high
-            if high is None:
-                high = _grouped_high_classes(profile, rng)
-            out.append(_grouped_histogram(profile, high, rng))
-        return out
+        counts = _grouped_counts(profile, num_clients, rng)
+        counts.flags.writeable = False
+        return [LabelDistribution._wrap(row) for row in counts]
     raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
 
 

@@ -225,7 +225,7 @@ class ResultsBundle:
     cost_joules: float
     cost_max_power_joules: float
     metrics: tuple
-    final_accuracy: float
+    final_accuracy: float | None
     audit: DivergenceReport | None
     versions: dict
 
@@ -346,7 +346,6 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
         twin = iid_counterpart(server_data, substream(cfg.seed, "iid"))
         paired = run_paired(server_data, twin, replace(cfg.train, batch_size=None))
         report = audit_drift_bound(paired, server_data)
-    final_acc = metrics[-1].accuracy if metrics else float("nan")
     return ResultsBundle(
         config=cfg.to_dict(),
         topology=topo,
@@ -355,7 +354,7 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
         cost_joules=cost,
         cost_max_power_joules=cost_max,
         metrics=tuple(metrics),
-        final_accuracy=float(final_acc),
+        final_accuracy=float(metrics[-1].accuracy) if metrics else None,
         audit=report,
         versions=_versions(),
     )

@@ -193,17 +193,27 @@ def _min_kl_picker(ids, dists, target_counts):
     """Greedy min-KL order: one array op over the remaining candidates per step.
 
     ``argmin`` returns the first minimum and rows are in ascending id, so
-    ties go to the lowest id.
+    ties go to the lowest id. Once the held counts reach ``target_counts``
+    in every class, the demand is the zero row for good and every remaining
+    score is fixed. The rest of the order is then one stable ``argsort`` of
+    that step's scores, taken rows scored ``inf`` so they sort last; equal
+    scores keep ascending id, as successive ``argmin`` calls would.
     """
     probs = _candidate_probs(ids, dists)
     taken = np.zeros(len(ids), dtype=bool)
+    tail = None
 
     def pick(held):
-        scores = _kl_scores(probs, held, target_counts)
-        scores[taken] = np.inf
-        i = int(np.argmin(scores))
-        taken[i] = True
-        return ids[i]
+        nonlocal tail
+        if tail is None:
+            scores = _kl_scores(probs, held, target_counts)
+            scores[taken] = np.inf
+            if not (held >= target_counts).all():
+                i = int(np.argmin(scores))
+                taken[i] = True
+                return ids[i]
+            tail = iter(np.argsort(scores, kind="stable").tolist())
+        return ids[next(tail)]
 
     return pick
 

@@ -187,6 +187,93 @@ def test_group_weights_equal_weights_stay_uniform():
     assert np.all(np.abs(freq - 0.2) < 0.03)
 
 
+def _oracle_grouped_clients(profile, num_clients, rng):
+    """Grouped populations as first written: ``choice`` per client, one scalar normal per class."""
+
+    def high_classes():
+        num_groups = math.ceil(profile.num_classes / profile.group_size)
+        need = math.ceil(profile.num_high_classes / profile.group_size)
+        weights = None
+        if profile.group_weights is not None:
+            weights = np.asarray(profile.group_weights, dtype=np.float64)
+            weights = weights / weights.sum()
+        chosen = rng.choice(num_groups, size=min(need, num_groups), replace=False, p=weights)
+        classes = []
+        for g in chosen:
+            start = int(g) * profile.group_size
+            stop = min(start + profile.group_size, profile.num_classes)
+            classes.extend(range(start, stop))
+        return classes[: profile.num_high_classes]
+
+    def histogram(high):
+        counts = np.empty(profile.num_classes, dtype=np.int64)
+        for c in range(profile.num_classes):
+            if c in high:
+                draw = rng.normal(profile.high_mean, profile.high_std)
+            else:
+                draw = rng.normal(profile.low_mean, profile.low_std)
+            counts[c] = max(0, int(round(draw)))
+        return counts
+
+    shared = None if profile.redraw_per_client else high_classes()
+    return [histogram(high_classes() if shared is None else shared) for _ in range(num_clients)]
+
+
+GOLDEN_WEIGHTS = (0.3, 0.3, 0.2, 0.1, 0.1)
+ORACLE_PROFILES = {
+    "golden": GroupedProfile(low_mean=0.5, low_std=0.5, group_weights=GOLDEN_WEIGHTS),
+    "uniform": GroupedProfile(),
+    "zero_weights": GroupedProfile(group_weights=(0.0, 0.5, 0.0, 0.5, 0.0)),
+    "three_high": GroupedProfile(num_high_classes=3, group_weights=GOLDEN_WEIGHTS),
+    "shared": GroupedProfile(redraw_per_client=False, group_weights=GOLDEN_WEIGHTS),
+    "zero_std": GroupedProfile(high_std=0.0, low_std=0.0),
+    "ragged_uniform": GroupedProfile(num_classes=7, group_size=3, num_high_classes=3),
+    "ragged_weighted": GroupedProfile(
+        num_classes=7, group_size=3, num_high_classes=3, group_weights=(0.2, 0.3, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_grouped_clients_equal_the_per_client_oracle(name, seed):
+    """Same populations and the same next draw as ``choice`` plus scalar normals."""
+    profile = ORACLE_PROFILES[name]
+    rng, oracle_rng = default_rng(seed), default_rng(seed)
+    got = generate_clients(profile, 300, rng)
+    want = _oracle_grouped_clients(profile, 300, oracle_rng)
+    assert [c.counts.tolist() for c in got] == [c.tolist() for c in want]
+    assert rng.random() == oracle_rng.random()
+
+
+def test_grouped_clients_are_frozen_rows():
+    clients = generate_clients(GroupedProfile(), 3, default_rng(1))
+    for c in clients:
+        assert c.counts.dtype == np.int64 and c.counts.shape == (10,)
+        with pytest.raises(ValueError):
+            c.counts[0] = 1
+
+
+def test_grouped_count_too_large_for_int64_raises():
+    """A draw past int64 fails as the scalar loop did; it never wraps."""
+    profile = GroupedProfile(high_mean=1e19, high_std=0.0)
+    with pytest.raises(OverflowError):
+        _oracle_grouped_clients(profile, 2, default_rng(1))
+    with pytest.raises(OverflowError):
+        generate_clients(profile, 2, default_rng(1))
+    # the largest float below 2**63 still fits
+    fits = GroupedProfile(high_mean=2.0**63 - 1024, high_std=0.0)
+    assert generate_clients(fits, 1, default_rng(1))[0].counts.max() == 2**63 - 1024
+
+
+def test_group_weights_need_a_positive_weight_per_needed_group():
+    """Four high classes in pairs need two groups, so one positive weight is too few."""
+    with pytest.raises(InvalidParameterError, match="group_weights"):
+        GroupedProfile(num_high_classes=4, group_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
+    GroupedProfile(num_high_classes=4, group_weights=(1.0, 0.0, 0.0, 0.0, 1.0))
+    GroupedProfile(num_high_classes=2, group_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
+
+
 # --------------------------------------------------------------- smoothing
 
 

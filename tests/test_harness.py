@@ -155,6 +155,19 @@ def test_config_from_json(tmp_path):
             {"radio": {"max_power": 0.0005, "rated_power": 0.0005}},
             "radio: max power must exceed the 0.001 W transmit floor",
         ),
+        (
+            {
+                "data": {
+                    "profile": {
+                        "num_high_classes": 4,
+                        "group_size": 2,
+                        "group_weights": [1, 0, 0, 0, 0],
+                    }
+                }
+            },
+            "data.profile: group_weights: a client needs 2 groups, "
+            "but only 1 weights are positive",
+        ),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):
@@ -338,6 +351,20 @@ def test_emit_schema(tmp_path):
     assert summary["cost_joules"] > 0.0
     assert "final_accuracy" in summary
     assert summary["plan_size"] == len(bundle.plan.entries)
+
+
+def test_zero_round_summary_is_strict_json(tmp_path):
+    """No rounds means no final accuracy: ``null``, never the non-JSON ``NaN``."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    bundle = run_scenario(desk_config(seed=1, train=TrainConfig(rounds=0)))
+    assert bundle.final_accuracy is None
+    emit(bundle, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+    assert summary["final_accuracy"] is None
+    assert summary["rounds"] == 0
 
 
 def test_replay_from_echoed_config(tmp_path):

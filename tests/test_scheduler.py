@@ -188,6 +188,77 @@ def test_min_kl_agrees_with_exhaustive_oracle():
             assert picked == scored[0][1]
 
 
+def _argmin_order(ids, dists, target_counts):
+    """The whole order by one ``argmin`` over the remaining scores per pick."""
+    probs = _candidate_probs(ids, dists)
+    taken = np.zeros(len(ids), dtype=bool)
+    held = np.zeros_like(target_counts)
+    order, reached_at = [], None
+    for step in range(len(ids)):
+        if reached_at is None and (held >= target_counts).all():
+            reached_at = step
+        scores = _kl_scores(probs, held, target_counts)
+        scores[taken] = np.inf
+        i = int(np.argmin(scores))
+        taken[i] = True
+        order.append(ids[i])
+        held = held + dists[ids[i]].counts
+    return order, reached_at
+
+
+def _picker_order(ids, dists, target_counts):
+    pick = _min_kl_picker(ids, dists, target_counts)
+    held = np.zeros_like(target_counts)
+    order = []
+    for _ in ids:
+        order.append(pick(held))
+        held = held + dists[order[-1]].counts
+    return order
+
+
+def _tail_case(name):
+    """Candidates, histograms and target counts for one min-KL tail case."""
+    rng = default_rng(29)
+    if name == "ties":
+        # 120 devices over 3 histograms; the target is met early, and the
+        # rest are long runs of equal scores
+        kinds = rng.integers(0, 40, size=(3, 6))
+        counts = kinds[rng.integers(0, 3, size=120)]
+        target = np.full(6, 60)
+    else:
+        counts = rng.integers(0, 40, size=(60, 6))
+        counts[rng.random(counts.shape) < 0.5] = 0
+        total = 300 if name == "mid_pool" else 10_000
+        target = np.full(6, total // 6)
+    ids = sorted(rng.choice(500, size=len(counts), replace=False).tolist())
+    dists = {u: LabelDistribution(c) for u, c in zip(ids, counts)}
+    return ids, dists, target
+
+
+@pytest.mark.parametrize("name", ["mid_pool", "never", "ties"])
+def test_min_kl_tail_sort_equals_the_argmin_replay(name):
+    """The stable-sort tail gives the same order as one ``argmin`` per pick."""
+    ids, dists, target = _tail_case(name)
+    want, reached_at = _argmin_order(ids, dists, target)
+    if name == "never":
+        assert reached_at is None
+    else:
+        assert 0 < reached_at < len(ids) - 20
+    assert _picker_order(ids, dists, target) == want
+
+
+def test_min_kl_tail_ties_keep_ascending_id():
+    """Equal tail scores come out in ascending id, as successive argmins give."""
+    ids, dists, target = _tail_case("ties")
+    order, reached_at = _argmin_order(ids, dists, target)
+    tail = order[reached_at:]
+    by_kind = {}
+    for u in tail:
+        by_kind.setdefault(tuple(dists[u].counts.tolist()), []).append(u)
+    assert min(len(v) for v in by_kind.values()) > 20
+    assert all(v == sorted(v) for v in by_kind.values())
+
+
 # ------------------------------------------------------------------ full runs
 
 
