@@ -352,7 +352,7 @@ def _high_class_picker(profile: GroupedProfile, rng: np.random.Generator):
     """
     size, num_classes = profile.group_size, profile.num_classes
     num_groups = math.ceil(num_classes / size)
-    need = min(math.ceil(profile.num_high_classes / size), num_groups)
+    need = math.ceil(profile.num_high_classes / size)  # at most num_groups
     weights = None
     if profile.group_weights is not None:
         weights = np.asarray(profile.group_weights, dtype=np.float64)

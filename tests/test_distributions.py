@@ -145,6 +145,10 @@ def test_group_weights_validation():
         GroupedProfile(group_weights=(0.5, 0.5, 0.5, 0.5, -0.1))
     with pytest.raises(InvalidParameterError):
         GroupedProfile(group_weights=(0.0,) * 5)
+    # four high classes in pairs need two groups with positive weight
+    with pytest.raises(InvalidParameterError, match="group_weights"):
+        GroupedProfile(num_high_classes=4, group_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
+    GroupedProfile(num_high_classes=4, group_weights=(1.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def test_group_weights_degenerate_pins_the_group():
@@ -244,14 +248,7 @@ def test_grouped_clients_equal_the_per_client_oracle(name, seed):
     want = _oracle_grouped_clients(profile, 300, oracle_rng)
     assert [c.counts.tolist() for c in got] == [c.tolist() for c in want]
     assert rng.random() == oracle_rng.random()
-
-
-def test_grouped_clients_are_frozen_rows():
-    clients = generate_clients(GroupedProfile(), 3, default_rng(1))
-    for c in clients:
-        assert c.counts.dtype == np.int64 and c.counts.shape == (10,)
-        with pytest.raises(ValueError):
-            c.counts[0] = 1
+    assert all(c.counts.dtype == np.int64 and not c.counts.flags.writeable for c in got)
 
 
 def test_grouped_count_too_large_for_int64_raises():
@@ -264,14 +261,6 @@ def test_grouped_count_too_large_for_int64_raises():
     # the largest float below 2**63 still fits
     fits = GroupedProfile(high_mean=2.0**63 - 1024, high_std=0.0)
     assert generate_clients(fits, 1, default_rng(1))[0].counts.max() == 2**63 - 1024
-
-
-def test_group_weights_need_a_positive_weight_per_needed_group():
-    """Four high classes in pairs need two groups, so one positive weight is too few."""
-    with pytest.raises(InvalidParameterError, match="group_weights"):
-        GroupedProfile(num_high_classes=4, group_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
-    GroupedProfile(num_high_classes=4, group_weights=(1.0, 0.0, 0.0, 0.0, 1.0))
-    GroupedProfile(num_high_classes=2, group_weights=(1.0, 0.0, 0.0, 0.0, 0.0))
 
 
 # --------------------------------------------------------------- smoothing

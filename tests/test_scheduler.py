@@ -1,6 +1,7 @@
 """Offloading policies: candidate bookkeeping, greedy selection, full runs."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,19 +245,11 @@ def test_min_kl_tail_sort_equals_the_argmin_replay(name):
         assert reached_at is None
     else:
         assert 0 < reached_at < len(ids) - 20
+    if name == "ties":
+        # each histogram still has a run of more than 20 equal scores to order
+        runs = Counter(tuple(dists[u].counts.tolist()) for u in want[reached_at:])
+        assert len(runs) == 3 and min(runs.values()) > 20
     assert _picker_order(ids, dists, target) == want
-
-
-def test_min_kl_tail_ties_keep_ascending_id():
-    """Equal tail scores come out in ascending id, as successive argmins give."""
-    ids, dists, target = _tail_case("ties")
-    order, reached_at = _argmin_order(ids, dists, target)
-    tail = order[reached_at:]
-    by_kind = {}
-    for u in tail:
-        by_kind.setdefault(tuple(dists[u].counts.tolist()), []).append(u)
-    assert min(len(v) for v in by_kind.values()) > 20
-    assert all(v == sorted(v) for v in by_kind.values())
 
 
 # ------------------------------------------------------------------ full runs
