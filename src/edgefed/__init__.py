@@ -29,7 +29,6 @@ from .divergence import (
     audit_drift_bound,
     complement,
     drift_bound,
-    gradient_divergence,
     kl,
     lipschitz_bound,
 )

@@ -227,10 +227,6 @@ class Dataset:
     def feat_dim(self) -> int:
         return int(self.features.shape[1])
 
-    def label_histogram(self, num_classes: int) -> LabelDistribution:
-        counts = np.bincount(self.labels, minlength=num_classes)
-        return LabelDistribution(counts)
-
     @staticmethod
     def concat(parts: Sequence["Dataset"]) -> "Dataset":
         if not parts:
@@ -445,20 +441,23 @@ def generate_clients(
     raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
 
 
-# The pseudo-count ``normalize`` gives every class.
+# The pseudo-count ``smoothed_rows`` gives every class.
 SMOOTHING_EPSILON = 1e-6
 
 
-def normalize(dist: LabelDistribution) -> ProbabilityVector:
-    """Smooth a histogram into a strictly positive probability vector.
+def smoothed_rows(counts: np.ndarray) -> np.ndarray:
+    """Each row of an integer count matrix as ``(count + eps) / (total + C * eps)``.
 
-    Every class receives ``(count + eps) / (total + C * eps)`` mass, with
-    ``eps = SMOOTHING_EPSILON``, so an all-zero histogram maps to the
-    uniform distribution.
+    With ``eps = SMOOTHING_EPSILON`` every class gets mass, and an all-zero
+    row maps to the uniform distribution. Integer row totals are exact.
     """
-    counts = dist.counts.astype(np.float64)
     eps = SMOOTHING_EPSILON
-    return ProbabilityVector((counts + eps) / (counts.sum() + dist.num_classes * eps))
+    return (counts + eps) / (counts.sum(axis=1) + counts.shape[1] * eps)[:, None]
+
+
+def normalize(dist: LabelDistribution) -> ProbabilityVector:
+    """Smooth a histogram into a strictly positive probability vector."""
+    return ProbabilityVector(smoothed_rows(dist.counts[None])[0])
 
 
 def materialize(

@@ -60,19 +60,6 @@ def complement(target: LabelDistribution, server: LabelDistribution) -> LabelDis
     return LabelDistribution(np.maximum(target.counts - server.counts, 0))
 
 
-def gradient_divergence(
-    params: ModelParams, server_data: Dataset, global_data: Dataset
-) -> float:
-    """Euclidean norm of the gap between server and population gradients.
-
-    Both gradients are evaluated at the same parameters; the norm runs over
-    weights and bias jointly.
-    """
-    _, g_server = loss_and_grad(params, server_data)
-    _, g_global = loss_and_grad(params, global_data)
-    return g_server.distance(g_global)
-
-
 @dataclass(frozen=True)
 class SmoothnessEstimate:
     """Per-server gradient smoothness constants and their size-weighted mix."""
@@ -146,9 +133,10 @@ def measure_gradient_divergences(
 ) -> np.ndarray:
     """Per-snapshot, per-server gradient divergences against the pooled data.
 
-    Each entry equals ``gradient_divergence(w, d, union)`` bit for bit, but
-    a snapshot costs one pass over the union plus one stacked pass that
-    takes every server's gradient at once: 2N rows for a union of N samples.
+    Entry (i, s) is the distance between ``loss_and_grad``'s gradients on
+    server s and on the union, both at snapshot i. A snapshot costs one pass
+    over the union plus one stacked pass that takes every server's gradient
+    at once: 2N rows for a union of N samples.
 
     Returns a matrix of shape (len(snapshots), num_servers).
     """

@@ -4,9 +4,9 @@ The model is softmax regression with a bias term, trained by full-batch or
 minibatch gradient steps. Each local step evaluates every server's model in
 one class-major pass over the server data, a bounded chunk of servers at a
 time. Aggregation is the data-size weighted average of server models. A
-paired runner trains two server populations in lock step from a shared
-initialisation so their parameter trajectories can be compared round by
-round.
+paired runner trains two server populations from a shared initialisation,
+each through the same round loop as training, so their parameter
+trajectories can be compared round by round.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class ModelParams:
     @staticmethod
     def zeros(num_classes: int, feat_dim: int) -> "ModelParams":
         return ModelParams(np.zeros((num_classes, feat_dim)), np.zeros(num_classes))
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.weights.ravel(), self.bias])
 
     def distance(self, other: "ModelParams") -> float:
         """Euclidean distance over all parameters jointly."""
@@ -348,6 +345,20 @@ def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParam
     )
 
 
+def _rounds(datasets, stack: _Stack, start: ModelParams, cfg: TrainConfig, rng):
+    """From ``start``, yield each round's stacked local models and their ``_average``."""
+    current = start
+    for _ in range(cfg.rounds):
+        weights, bias = _local_steps(
+            np.stack([current.weights] * len(datasets)),
+            np.stack([current.bias] * len(datasets)),
+            _step_stacks(datasets, stack, cfg, rng),
+            cfg.phi,
+        )
+        current = _average(weights, bias, stack.sizes)
+        yield weights, bias, current
+
+
 def run_fl(
     server_datasets: Sequence[Dataset],
     cfg: TrainConfig,
@@ -380,19 +391,12 @@ def run_fl(
         num_classes = max(num_classes, int(eval_set.labels.max()) + 1)
     current = init if init is not None else ModelParams.zeros(num_classes, feat_dim)
     stack = _Stack(server_datasets, current.num_classes)
-    sizes = [len(d) for d in server_datasets]
-    total = float(sum(sizes))
+    total = float(sum(stack.sizes))
     metrics = []
-    for t in range(1, cfg.rounds + 1):
-        weights, bias = _local_steps(
-            np.stack([current.weights] * len(sizes)),
-            np.stack([current.bias] * len(sizes)),
-            _step_stacks(server_datasets, stack, cfg, rng),
-            cfg.phi,
-        )
-        current = _average(weights, bias, sizes)
+    rounds = _rounds(server_datasets, stack, current, cfg, rng)
+    for t, (weights, bias, current) in enumerate(rounds, 1):
         per_server = _softmax_pass(weights, bias, stack, grads=False).tolist()
-        g_loss = float(sum((s / total) * l for s, l in zip(sizes, per_server)))
+        g_loss = float(sum((s / total) * l for s, l in zip(stack.sizes, per_server)))
         acc = evaluate_accuracy(current, eval_set) if eval_set is not None else float("nan")
         metrics.append(RoundMetrics(round=t, global_loss=g_loss, accuracy=acc))
     return metrics, current
@@ -441,11 +445,12 @@ def run_paired(
     cfg: TrainConfig,
     init: ModelParams | None = None,
 ) -> PairedRun:
-    """Train two server populations in lock step and record their gap.
+    """Train two server populations from one start and record their gap per round.
 
-    Both populations must have the same server count and the same per-server
-    sizes so the aggregation weights coincide. Training is full batch to keep
-    the two trajectories free of sampling noise.
+    Each population trains on its own stack from ``init``, zeros when omitted.
+    Both must have the same server count and the same per-server sizes so the
+    aggregation weights coincide. Training is full batch to keep the two
+    trajectories free of sampling noise.
     """
     if len(left_datasets) != len(right_datasets):
         raise InvalidComparisonError("paired runs need equal server counts")
@@ -459,23 +464,11 @@ def run_paired(
         raise InvalidInputError("need at least one dataset")
     num_classes = 1 + max(int(d.labels.max()) for d in both)
     start = init if init is not None else ModelParams.zeros(num_classes, both[0].feat_dim)
-    # Both arms train side by side in one stack: left servers, then right.
-    stack = _Stack(both, start.num_classes)
-    stacks = [stack] * cfg.local_steps
-    sizes = [len(d) for d in left_datasets]
-    half = len(sizes)
-    w, v = start, start
-    left_snaps, right_snaps, gaps = [start], [start], []
-    for _ in range(cfg.rounds):
-        weights, bias = _local_steps(
-            np.stack([w.weights] * half + [v.weights] * half),
-            np.stack([w.bias] * half + [v.bias] * half),
-            stacks,
-            cfg.phi,
-        )
-        w = _average(weights[:half], bias[:half], sizes)
-        v = _average(weights[half:], bias[half:], sizes)
-        left_snaps.append(w)
-        right_snaps.append(v)
-        gaps.append(w.distance(v))
-    return PairedRun(tuple(left_snaps), tuple(right_snaps), tuple(gaps), cfg)
+
+    def trajectory(datasets):
+        rounds = _rounds(datasets, _Stack(datasets, start.num_classes), start, cfg, None)
+        return (start, *(model for _, _, model in rounds))
+
+    left, right = trajectory(left_datasets), trajectory(right_datasets)
+    gaps = tuple(w.distance(v) for w, v in zip(left[1:], right[1:]))
+    return PairedRun(left, right, gaps, cfg)

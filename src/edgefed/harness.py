@@ -31,6 +31,7 @@ from .distributions import (
 from .divergence import DivergenceReport, audit_drift_bound
 from .errors import InvalidInputError, InvalidParameterError
 from .federated import (
+    ModelParams,
     TrainConfig,
     iid_counterpart,
     run_fl,
@@ -338,13 +339,15 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
     cost_max = system_cost(plan, ceiling, topo, cfg.radio, smap)
     server_data = server_datasets_from_plan(cfg, topo, plan)
     eval_set = evaluation_set(cfg)
-    metrics, final_model = run_fl(
-        server_data, cfg.train, eval_set, rng=substream(cfg.seed, "training")
+    # Training and the audit's paired run start from one model over every class.
+    init = ModelParams.zeros(cfg.data.num_classes, cfg.data.feat_dim)
+    metrics, _ = run_fl(
+        server_data, cfg.train, eval_set, init=init, rng=substream(cfg.seed, "training")
     )
     report = None
     if cfg.audit:
         twin = iid_counterpart(server_data, substream(cfg.seed, "iid"))
-        paired = run_paired(server_data, twin, replace(cfg.train, batch_size=None))
+        paired = run_paired(server_data, twin, replace(cfg.train, batch_size=None), init=init)
         report = audit_drift_bound(paired, server_data)
     return ResultsBundle(
         config=cfg.to_dict(),

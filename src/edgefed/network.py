@@ -114,7 +114,6 @@ class Topology:
 
     servers: tuple
     devices: tuple
-    cell_radius: float
     gains: np.ndarray
 
     def __post_init__(self):
@@ -151,33 +150,24 @@ class Topology:
 def channel_gain(
     distance: float,
     exponent: float = 3.0,
-    rng: np.random.Generator | None = None,
     *,
     reference_gain: float = 1e-3,
     reference_distance: float = 1.0,
-    fading: bool = True,
 ) -> float:
-    """Log-distance path gain with optional unit-mean Rayleigh power fading.
+    """Log-distance path gain; ``place_topology`` draws the fading.
 
     Args:
         distance: transmitter-receiver separation in metres, positive.
         exponent: path-loss exponent.
-        rng: required when fading is enabled.
 
     Returns:
-        Linear power gain ``g0 * (d0 / d)^exponent`` times an Exp(1) fading
-        draw when enabled. Distances inside the reference distance saturate
-        at the reference gain.
+        Linear power gain ``g0 * (d0 / d)^exponent``. Distances inside the
+        reference distance saturate at the reference gain.
     """
     if distance <= 0:
         raise InvalidParameterError("distance must be positive")
     d = max(distance, reference_distance)
-    gain = reference_gain * (reference_distance / d) ** exponent
-    if fading:
-        if rng is None:
-            raise InvalidParameterError("fading draws need an rng")
-        gain *= float(rng.exponential(1.0))
-    return gain
+    return reference_gain * (reference_distance / d) ** exponent
 
 
 def _hex_centers(num_servers: int, cell_radius: float) -> list:
@@ -263,7 +253,6 @@ def place_topology(
                 params.path_loss_exponent,
                 reference_gain=params.reference_gain,
                 reference_distance=params.reference_distance,
-                fading=False,
             )
             for dev in devices
             for c in centers
@@ -271,7 +260,7 @@ def place_topology(
     ).reshape(total_devices, num_servers)
     if params.fading:
         gains *= rng.exponential(1.0, size=gains.shape)
-    return Topology(servers, tuple(devices), cell_radius, gains)
+    return Topology(servers, tuple(devices), gains)
 
 
 @dataclass(frozen=True)
@@ -383,6 +372,21 @@ class TransferRecord:
     energy_joules: float
 
 
+def transfer_record(
+    pair, power: float, noise_floor: float, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
+) -> TransferRecord:
+    """Radio record of one transfer at ``power``.
+
+    ``noise_floor`` is the pair's ``effective_interference``, and the SINR is
+    ``sinr``'s expression over it.
+    """
+    u, s = pair
+    snr = topo.gain(u, s) * power / noise_floor
+    r = rate(snr, cfg)
+    seconds = transfer_time(topo.device(u).data_bits, r)
+    return TransferRecord(u, s, smap.subcarrier(pair), power, snr, r, seconds, power * seconds)
+
+
 @dataclass(frozen=True)
 class OffloadPlan:
     """The set of transfers selected by a scheduling run."""
@@ -444,8 +448,6 @@ def system_cost(
         pair = (e.device, e.server)
         if pair not in powers:
             raise UnknownPairError(f"no power allocated for pair {pair}")
-        p = float(powers[pair])
-        r = rate(sinr(pair, p, smap, topo, cfg), cfg)
-        t = transfer_time(topo.device(e.device).data_bits, r)
-        total += p * t
+        floor = effective_interference(pair, smap, topo, cfg)
+        total += transfer_record(pair, float(powers[pair]), floor, smap, topo, cfg).energy_joules
     return total

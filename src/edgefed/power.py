@@ -27,8 +27,7 @@ from .network import (
     Topology,
     TransferRecord,
     effective_interference,
-    rate,
-    transfer_time,
+    transfer_record,
 )
 
 
@@ -166,21 +165,8 @@ def solve_pair(
     """Allocate power for one pair and compute its radio record.
 
     The pair's noise floor is computed once and serves both its objective
-    coefficients and its SINR, which is ``network.sinr``'s expression.
+    coefficients and its ``network.transfer_record``.
     """
-    u, s = pair
     noise_floor = effective_interference(pair, smap, topo, cfg)
     result = allocate_power(_pair_params(pair, noise_floor, topo, cfg))
-    snr = topo.gain(u, s) * result.power / noise_floor
-    r = rate(snr, cfg)
-    seconds = transfer_time(topo.device(u).data_bits, r)
-    return TransferRecord(
-        device=u,
-        server=s,
-        subcarrier=smap.subcarrier(pair),
-        power=result.power,
-        sinr=snr,
-        rate=r,
-        transfer_seconds=seconds,
-        energy_joules=result.power * seconds,
-    )
+    return transfer_record(pair, result.power, noise_floor, smap, topo, cfg)

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .distributions import (
-    SMOOTHING_EPSILON,
     LabelDistribution,
     normalize,
+    smoothed_rows,
     uniform_distribution,
 )
 # ``kl`` is not called here, but the benchmark's tracer wraps ``scheduler.kl``
@@ -99,39 +99,6 @@ class OffloadTrace:
 
     rows: tuple
 
-    def per_server(self, server_id: int) -> list:
-        return [r for r in self.rows if r.server == server_id]
-
-    def mean_kl_by_round(self, num_servers: int) -> list:
-        """Across-server mean KL after each round, carrying finished servers.
-
-        A server that ran out of candidates holds its last value, so the
-        mean stays defined for as many rounds as the longest server ran.
-        """
-        series = [
-            [r.kl for r in self.per_server(s)] for s in range(num_servers)
-        ]
-        series = [s for s in series if s]
-        if not series:
-            return []
-        horizon = max(len(s) for s in series)
-        means = []
-        for t in range(horizon):
-            means.append(
-                float(np.mean([s[min(t, len(s) - 1)] for s in series]))
-            )
-        return means
-
-    def rounds_to_threshold(self, threshold: float, num_servers: int):
-        """First round whose across-server mean KL drops below ``threshold``.
-
-        Returns None when the trace never gets there.
-        """
-        for i, m in enumerate(self.mean_kl_by_round(num_servers)):
-            if m < threshold:
-                return i + 1
-        return None
-
 
 def uniform_target(num_servers: int, gamma: int, num_classes: int) -> LabelDistribution:
     """Uniform global target sized to ``num_servers * gamma`` samples."""
@@ -153,22 +120,6 @@ def serviceable_set(server_id: int, topo: Topology) -> list:
     )
 
 
-def _smoothed_rows(counts: np.ndarray) -> np.ndarray:
-    """``normalize(row).probs`` for every row of an integer count matrix, bit for bit.
-
-    The same operations in the same order: each row's total plus C times the
-    pseudo-count, then (count + pseudo-count) over it. Totals of integer
-    counts are exact in any order, and the pseudo-count keeps them positive.
-    """
-    eps = SMOOTHING_EPSILON
-    return (counts + eps) / (counts.sum(axis=1) + counts.shape[1] * eps)[:, None]
-
-
-def _candidate_probs(ids: Sequence[int], dists: Mapping) -> np.ndarray:
-    """Smoothed label distributions of ``ids``, one row per device, in order."""
-    return _smoothed_rows(np.array([dists[u].counts for u in ids]))
-
-
 def _kl_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``kl(row, q)`` for every smoothed row of ``probs``, bit for bit.
 
@@ -185,7 +136,7 @@ def _kl_scores(probs: np.ndarray, held: np.ndarray, target_counts: np.ndarray) -
     counts the server already holds, ``normalize(complement(target, held))``
     bit for bit. Each entry equals ``kl(row, demand)`` bit for bit.
     """
-    demand = _smoothed_rows(np.maximum(target_counts - held, 0)[None])[0]
+    demand = smoothed_rows(np.maximum(target_counts - held, 0)[None])[0]
     return _kl_rows(probs, demand)
 
 
@@ -199,7 +150,7 @@ def _min_kl_picker(ids, dists, target_counts):
     that step's scores, taken rows scored ``inf`` so they sort last; equal
     scores keep ascending id, as successive ``argmin`` calls would.
     """
-    probs = _candidate_probs(ids, dists)
+    probs = smoothed_rows(np.array([dists[u].counts for u in ids]))
     taken = np.zeros(len(ids), dtype=bool)
     tail = None
 
@@ -295,7 +246,7 @@ def run_scheduler(
             if cfg.stop_at_threshold and plan_total >= cfg.gamma:
                 break
         held = np.cumsum([dists[u].counts for u in picked], axis=0)
-        kls = _kl_rows(_smoothed_rows(held), target_probs).tolist()
+        kls = _kl_rows(smoothed_rows(held), target_probs).tolist()
         totals = held.sum(axis=1).tolist()
         trace_rows.extend(
             TraceRow(round=k + 1, server=s, kl=kls[k], total=totals[k], device=u)

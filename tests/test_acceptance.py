@@ -25,7 +25,7 @@ from edgefed.distributions import (
     separated_feature_model,
     uniform_distribution,
 )
-from edgefed.divergence import audit_drift_bound, gradient_divergence, kl
+from edgefed.divergence import audit_drift_bound, kl
 from edgefed.federated import (
     ModelParams,
     TrainConfig,
@@ -53,6 +53,8 @@ from edgefed.network import TransferRecord, assign_subcarriers, system_cost
 from edgefed.power import PairParams, allocate_power, objective, quasiconvexity_probe
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
+
+from oracles import flatten, gradient_divergence, label_histogram, rounds_to_threshold
 
 SEEDS = tuple(range(1, 11))
 
@@ -90,7 +92,7 @@ def test_criterion_1_kl_convergence_speedup():
                 sched, topo, cfg.radio, substream(seed, "scheduler"),
                 power_solver=_stub_solver,
             )
-            taken[policy] = trace.rounds_to_threshold(0.05, 10)
+            taken[policy] = rounds_to_threshold(trace, 0.05, 10)
         greedy, random = taken[Policy.MIN_KL], taken[Policy.RANDOM]
         if greedy is not None and random is not None and 2 * greedy <= random:
             wins += 1
@@ -239,7 +241,7 @@ def test_criterion_5_divergence_rank_association():
             TrainConfig(phi=0.05, local_steps=3, rounds=1),
         )
         gammas = [gradient_divergence(w, d, union) for d in datasets]
-        union_hist = union.label_histogram(10)
+        union_hist = label_histogram(union, 10)
         kls = [kl(normalize(union_hist), normalize(h)) for h in hists]
         if np.argsort(gammas).tolist() == np.argsort(kls).tolist():
             matches += 1
@@ -375,7 +377,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
     rng = default_rng(81)
     w = ModelParams(rng.normal(size=(4, 6)) * 0.3, rng.normal(size=4) * 0.3)
     _, grad = loss_and_grad(w, ds)
-    flat = grad.flatten()
+    flat = flatten(grad)
     h = 1e-6
     grad_ok = True
     for idx in range(flat.size):

@@ -25,6 +25,8 @@ from edgefed.errors import (
     InvalidParameterError,
 )
 
+from oracles import label_histogram
+
 
 # ---------------------------------------------------------------- histograms
 
@@ -323,8 +325,8 @@ def test_dataset_concat_roundtrip():
     assert len(both) == 42
     assert np.array_equal(both.features[:30], a.features)
     assert np.array_equal(both.labels[30:], b.labels)
-    hist = both.label_histogram(3)
-    assert hist.counts.tolist() == (a.label_histogram(3).counts + b.label_histogram(3).counts).tolist()
+    hist = label_histogram(both, 3)
+    assert hist.counts.tolist() == (label_histogram(a, 3).counts + label_histogram(b, 3).counts).tolist()
 
 
 def _materialize_per_class(dist, model, rng):

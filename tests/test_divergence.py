@@ -19,7 +19,6 @@ from edgefed.divergence import (
     audit_drift_bound,
     complement,
     drift_bound,
-    gradient_divergence,
     kl,
     lipschitz_bound,
     measure_gradient_divergences,
@@ -37,6 +36,8 @@ from edgefed.federated import (
     loss_and_grad,
     run_paired,
 )
+
+from oracles import gradient_divergence, label_histogram
 
 
 def _pv(values) -> ProbabilityVector:
@@ -135,7 +136,7 @@ def test_gamma_rank_matches_kl_rank():
         ModelParams.zeros(10, 16), union, TrainConfig(phi=0.05, local_steps=3, rounds=1)
     )
     gammas = [gradient_divergence(w, d, union) for d in datasets]
-    union_hist = union.label_histogram(10)
+    union_hist = label_histogram(union, 10)
     kls = [kl(normalize(union_hist), normalize(h)) for h in hists]
     assert np.argsort(gammas).tolist() == np.argsort(kls).tolist()
 

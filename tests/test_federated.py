@@ -39,6 +39,8 @@ from edgefed.federated import (
 )
 from edgefed.rng import substream
 
+from oracles import flatten
+
 
 def _dataset(seed, n=60, num_classes=4, dim=6, separation=6.0):
     model = separated_feature_model(num_classes, dim, separation, 1.0)
@@ -63,7 +65,7 @@ def test_gradient_matches_finite_differences():
     ds = _dataset(2, n=30)
     w = _random_model(3)
     _, grad = loss_and_grad(w, ds)
-    flat_grad = grad.flatten()
+    flat_grad = flatten(grad)
     h = 1e-6
     dim = flat_grad.size
     for idx in range(dim):
@@ -494,7 +496,7 @@ def test_fl_minibatch_determinism():
     runs = []
     for _ in range(2):
         metrics, out = run_fl(parts, cfg, eval_set, rng=substream(9, "training"))
-        runs.append((tuple(m.global_loss for m in metrics), out.flatten()))
+        runs.append((tuple(m.global_loss for m in metrics), flatten(out)))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
     other, _ = run_fl(parts, cfg, eval_set, rng=substream(10, "training"))
@@ -547,11 +549,11 @@ def test_paired_first_round_identity():
     w0 = paired.left_params[0]
     sizes = np.array([len(d) for d in left], dtype=float)
     total = sizes.sum()
-    gap = np.zeros(w0.flatten().size)
+    gap = np.zeros(flatten(w0).size)
     for s, (a, b) in enumerate(zip(left, right)):
         _, ga = loss_and_grad(w0, a)
         _, gb = loss_and_grad(w0, b)
-        gap += (sizes[s] / total) * (ga.flatten() - gb.flatten())
+        gap += (sizes[s] / total) * (flatten(ga) - flatten(gb))
     expected = 0.05 * float(np.linalg.norm(gap))
     assert math.isclose(paired.distances[0], expected, rel_tol=1e-9)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from edgefed import harness
 from edgefed.cli import main
 from edgefed.distributions import DirichletProfile, GroupedProfile
 from edgefed.errors import SimulationError
@@ -30,6 +31,8 @@ from edgefed.harness import (
 from edgefed.network import assign_subcarriers, system_cost
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
+
+from oracles import label_histogram
 
 
 def _tiny_config(seed=1, **overrides):
@@ -219,7 +222,7 @@ def test_iid_reference_sizes_and_balance():
     parts = iid_reference(cfg, sizes, substream(3, "iid"))
     assert [len(p) for p in parts] == sizes
     for p in parts:
-        counts = np.asarray(p.label_histogram(cfg.data.num_classes).counts)
+        counts = np.asarray(label_histogram(p, cfg.data.num_classes).counts)
         assert int(counts.max() - counts.min()) <= 1
 
 
@@ -229,7 +232,7 @@ def test_evaluation_set_is_balanced_and_stable():
     b = evaluation_set(cfg)
     assert len(a) == 10 * cfg.data.eval_samples_per_class
     assert np.array_equal(a.features, b.features)
-    counts = np.asarray(a.label_histogram(10).counts)
+    counts = np.asarray(label_histogram(a, 10).counts)
     assert int(counts.max()) == int(counts.min())
 
 
@@ -247,7 +250,7 @@ def test_server_datasets_match_the_plan():
         merged = np.zeros(10, dtype=np.int64)
         for u in by_server[server]:
             merged += topo.device(u).dist.counts
-        assert np.array_equal(np.asarray(ds.label_histogram(10).counts), merged)
+        assert np.array_equal(np.asarray(label_histogram(ds, 10).counts), merged)
     # rebuilding from the same plan is deterministic
     again = server_datasets_from_plan(cfg, topo, plan)
     for x, y in zip(parts, again):
@@ -325,6 +328,35 @@ def test_run_scenario_cost_is_reproducible(tiny_bundle):
     smap = assign_subcarriers(b.plan.pairs(), cfg.radio.subcarriers)
     again = system_cost(b.plan, b.plan.powers(), topo, cfg.radio, smap)
     assert again == b.cost_joules
+
+
+def test_training_and_the_audit_start_from_one_model(monkeypatch):
+    # Group 4 (classes 8 and 9) is never drawn high and low counts round to
+    # zero, so no server holds those classes. Both runs must still train the
+    # 10-class model that the evaluation set needs, from the same start.
+    cfg = desk_config(
+        seed=1,
+        data=DataParams(
+            profile=GroupedProfile(low_mean=0.01, low_std=0.0, group_weights=(1, 1, 1, 1, 0))
+        ),
+        train=TrainConfig(local_steps=3, rounds=5),
+    )
+    calls = {}
+    for name in ("run_fl", "run_paired"):
+
+        def record(*args, _name=name, _run=getattr(harness, name), **kwargs):
+            calls[_name] = (args, _run(*args, **kwargs))
+            return calls[_name][1]
+
+        monkeypatch.setattr(harness, name, record)
+    bundle = run_scenario(cfg)
+    (server_data, *_), (_, trained) = calls["run_fl"]
+    assert max(int(d.labels.max()) for d in server_data) == 7
+    audited = calls["run_paired"][1].left_params[-1]
+    assert trained.num_classes == audited.num_classes == 10
+    assert (audited.weights == trained.weights).all()
+    assert (audited.bias == trained.bias).all()
+    assert bundle.audit.all_hold
 
 
 def test_emit_is_byte_identical_across_runs(tmp_path):

@@ -39,7 +39,6 @@ def _one_server_topo(gain_rows, bits=100_000):
     return Topology(
         (Server(0, (0.0, 0.0)),),
         devices,
-        500.0,
         np.asarray(gain_rows, dtype=np.float64),
     )
 

@@ -12,6 +12,7 @@ from edgefed.distributions import (
     LabelDistribution,
     generate_clients,
     normalize,
+    smoothed_rows,
     uniform_distribution,
 )
 from edgefed.divergence import complement, kl
@@ -20,13 +21,14 @@ from edgefed.network import RadioConfig, TopologyParams, TransferRecord, place_t
 from edgefed.scheduler import (
     Policy,
     SchedulerConfig,
-    _candidate_probs,
     _kl_scores,
     _min_kl_picker,
     run_scheduler,
     serviceable_set,
     uniform_target,
 )
+
+from oracles import mean_kl_by_round, per_server, rounds_to_threshold
 
 
 def _stub_solver(pair, smap, topo, radio):
@@ -130,7 +132,8 @@ def test_min_kl_single_candidate_is_forced():
 def _assert_scores_match_oracle(candidates, dists, server, target):
     """The array scores equal the scalar ``kl`` of each candidate, bit for bit."""
     ids = sorted(candidates)
-    scores = _kl_scores(_candidate_probs(ids, dists), server.counts, target.counts)
+    probs = smoothed_rows(np.array([dists[u].counts for u in ids]))
+    scores = _kl_scores(probs, server.counts, target.counts)
     demand = normalize(complement(target, server))
     oracle = [kl(normalize(dists[u]), demand) for u in ids]
     assert [float(x) for x in scores] == oracle
@@ -191,7 +194,7 @@ def test_min_kl_agrees_with_exhaustive_oracle():
 
 def _argmin_order(ids, dists, target_counts):
     """The whole order by one ``argmin`` over the remaining scores per pick."""
-    probs = _candidate_probs(ids, dists)
+    probs = smoothed_rows(np.array([dists[u].counts for u in ids]))
     taken = np.zeros(len(ids), dtype=bool)
     held = np.zeros_like(target_counts)
     order, reached_at = [], None
@@ -341,7 +344,7 @@ def test_trace_replay_confirms_every_greedy_choice():
         for server in range(4):
             remaining = set(serviceable_set(server, topo))
             held = LabelDistribution.zeros(10)
-            for row in trace.per_server(server):
+            for row in per_server(trace, server):
                 demand = normalize(complement(target, held))
                 best = min(
                     (kl(normalize(dists[u]), demand), u) for u in sorted(remaining)
@@ -351,7 +354,7 @@ def test_trace_replay_confirms_every_greedy_choice():
                 remaining.remove(row.device)
                 assert row.total == held.total()
             assert not remaining  # trace continues through the whole pool
-    order = [r.device for r in trace.per_server(0)]
+    order = [r.device for r in per_server(trace, 0)]
     assert order.index(lo) < order.index(hi)
 
 
@@ -359,7 +362,7 @@ def _replay_nearest(topo, trace, num_servers):
     """Each pick is the remaining candidate nearest the server, lowest id on ties."""
     for server in range(num_servers):
         remaining = set(serviceable_set(server, topo))
-        for row in trace.per_server(server):
+        for row in per_server(trace, server):
             best = min((topo.distance(u, server), u) for u in remaining)
             assert row.device == best[1]
             remaining.remove(row.device)
@@ -383,7 +386,7 @@ def test_trace_replay_confirms_every_nearest_choice():
     assert tied.distance(lo, 0) == tied.distance(hi, 0)
     _, trace = run_scheduler(cfg, tied, RadioConfig(), power_solver=_stub_solver)
     _replay_nearest(tied, trace, 4)
-    order = [r.device for r in trace.per_server(0)]
+    order = [r.device for r in per_server(trace, 0)]
     assert order.index(hi) == order.index(lo) + 1
 
 
@@ -412,7 +415,7 @@ def test_trace_rows_equal_the_per_merge_kl(policy, stop):
             cfg, topo, RadioConfig(), rng=default_rng(3), power_solver=_stub_solver
         )
         for server in range(5):
-            rows = trace.per_server(server)
+            rows = per_server(trace, server)
             assert rows and (stop or len(rows) == len(serviceable_set(server, topo)))
             held = LabelDistribution.zeros(10)
             for k, row in enumerate(rows, start=1):
@@ -432,7 +435,7 @@ def test_trace_kl_improves_under_threshold_stop():
     )
     _, trace = run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
     for server in range(4):
-        rows = trace.per_server(server)
+        rows = per_server(trace, server)
         assert rows[-1].kl <= rows[0].kl + 1e-9
 
 
@@ -440,9 +443,9 @@ def test_mean_kl_by_round_and_threshold_helpers():
     topo = _grouped_topology(12)
     cfg = SchedulerConfig(gamma=500, target=uniform_target(4, 500, 10))
     _, trace = run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
-    means = trace.mean_kl_by_round(4)
+    means = mean_kl_by_round(trace, 4)
     assert len(means) == max(r.round for r in trace.rows)
-    hit = trace.rounds_to_threshold(0.05, 4)
+    hit = rounds_to_threshold(trace, 0.05, 4)
     if hit is not None:
         assert means[hit - 1] < 0.05
         assert all(m >= 0.05 for m in means[: hit - 1])
