@@ -446,17 +446,25 @@ SMOOTHING_EPSILON = 1e-6
 
 
 def smoothed_rows(counts: np.ndarray) -> np.ndarray:
-    """Each row of an integer count matrix as ``(count + eps) / (total + C * eps)``.
+    """Smooth every row of an integer count matrix into probabilities.
 
-    With ``eps = SMOOTHING_EPSILON`` every class gets mass, and an all-zero
-    row maps to the uniform distribution. Integer row totals are exact.
+    The same operations in the same order for every row: its total plus C
+    times the pseudo-count ``eps = SMOOTHING_EPSILON``, then (count + eps)
+    over it. Totals of integer counts are exact in any order, and the
+    pseudo-count keeps them positive, so a row smooths to the same bits
+    whatever matrix it sits in.
     """
     eps = SMOOTHING_EPSILON
     return (counts + eps) / (counts.sum(axis=1) + counts.shape[1] * eps)[:, None]
 
 
 def normalize(dist: LabelDistribution) -> ProbabilityVector:
-    """Smooth a histogram into a strictly positive probability vector."""
+    """Smooth a histogram into a strictly positive probability vector.
+
+    Every class receives ``(count + eps) / (total + C * eps)`` mass, with
+    ``eps = SMOOTHING_EPSILON``, so an all-zero histogram maps to the
+    uniform distribution. This is ``smoothed_rows`` of its one row.
+    """
     return ProbabilityVector(smoothed_rows(dist.counts[None])[0])
 
 

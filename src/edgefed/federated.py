@@ -4,9 +4,9 @@ The model is softmax regression with a bias term, trained by full-batch or
 minibatch gradient steps. Each local step evaluates every server's model in
 one class-major pass over the server data, a bounded chunk of servers at a
 time. Aggregation is the data-size weighted average of server models. A
-paired runner trains two server populations from a shared initialisation,
-each through the same round loop as training, so their parameter
-trajectories can be compared round by round.
+paired runner trains two server populations in lock step from a shared
+initialisation so their parameter trajectories can be compared round by
+round.
 """
 
 from __future__ import annotations
@@ -345,17 +345,26 @@ def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParam
     )
 
 
-def _rounds(datasets, stack: _Stack, start: ModelParams, cfg: TrainConfig, rng):
-    """From ``start``, yield each round's stacked local models and their ``_average``."""
-    current = start
+def _rounds(datasets, stack: _Stack, starts, cfg: TrainConfig, rng):
+    """Yield each round's stacked local models and each arm's ``_average``.
+
+    The datasets split, in order, into one equal arm per model of ``starts``.
+    All arms train side by side in ``stack``, and every server of an arm
+    starts each round from its arm's last average.
+    """
+    current = tuple(starts)
+    n = len(datasets) // len(current)
     for _ in range(cfg.rounds):
         weights, bias = _local_steps(
-            np.stack([current.weights] * len(datasets)),
-            np.stack([current.bias] * len(datasets)),
+            np.stack([m.weights for m in current for _ in range(n)]),
+            np.stack([m.bias for m in current for _ in range(n)]),
             _step_stacks(datasets, stack, cfg, rng),
             cfg.phi,
         )
-        current = _average(weights, bias, stack.sizes)
+        current = tuple(
+            _average(weights[a : a + n], bias[a : a + n], stack.sizes[a : a + n])
+            for a in range(0, len(datasets), n)
+        )
         yield weights, bias, current
 
 
@@ -393,8 +402,8 @@ def run_fl(
     stack = _Stack(server_datasets, current.num_classes)
     total = float(sum(stack.sizes))
     metrics = []
-    rounds = _rounds(server_datasets, stack, current, cfg, rng)
-    for t, (weights, bias, current) in enumerate(rounds, 1):
+    rounds = _rounds(server_datasets, stack, [current], cfg, rng)
+    for t, (weights, bias, (current,)) in enumerate(rounds, 1):
         per_server = _softmax_pass(weights, bias, stack, grads=False).tolist()
         g_loss = float(sum((s / total) * l for s, l in zip(stack.sizes, per_server)))
         acc = evaluate_accuracy(current, eval_set) if eval_set is not None else float("nan")
@@ -445,12 +454,11 @@ def run_paired(
     cfg: TrainConfig,
     init: ModelParams | None = None,
 ) -> PairedRun:
-    """Train two server populations from one start and record their gap per round.
+    """Train two server populations in lock step and record their gap.
 
-    Each population trains on its own stack from ``init``, zeros when omitted.
-    Both must have the same server count and the same per-server sizes so the
-    aggregation weights coincide. Training is full batch to keep the two
-    trajectories free of sampling noise.
+    Both populations must have the same server count and the same per-server
+    sizes so the aggregation weights coincide. Training is full batch to keep
+    the two trajectories free of sampling noise.
     """
     if len(left_datasets) != len(right_datasets):
         raise InvalidComparisonError("paired runs need equal server counts")
@@ -464,11 +472,8 @@ def run_paired(
         raise InvalidInputError("need at least one dataset")
     num_classes = 1 + max(int(d.labels.max()) for d in both)
     start = init if init is not None else ModelParams.zeros(num_classes, both[0].feat_dim)
-
-    def trajectory(datasets):
-        rounds = _rounds(datasets, _Stack(datasets, start.num_classes), start, cfg, None)
-        return (start, *(model for _, _, model in rounds))
-
-    left, right = trajectory(left_datasets), trajectory(right_datasets)
-    gaps = tuple(w.distance(v) for w, v in zip(left[1:], right[1:]))
-    return PairedRun(left, right, gaps, cfg)
+    # Both arms train side by side in one stack: left servers, then right.
+    rounds = _rounds(both, _Stack(both, start.num_classes), [start, start], cfg, None)
+    arms = [(start, start), *(models for _, _, models in rounds)]
+    left, right = (tuple(arm) for arm in zip(*arms))
+    return PairedRun(left, right, tuple(w.distance(v) for w, v in arms[1:]), cfg)

@@ -380,11 +380,22 @@ def transfer_record(
     ``noise_floor`` is the pair's ``effective_interference``, and the SINR is
     ``sinr``'s expression over it.
     """
+    if power < 0:
+        raise InvalidParameterError("transmit power must be non-negative")
     u, s = pair
     snr = topo.gain(u, s) * power / noise_floor
     r = rate(snr, cfg)
     seconds = transfer_time(topo.device(u).data_bits, r)
-    return TransferRecord(u, s, smap.subcarrier(pair), power, snr, r, seconds, power * seconds)
+    return TransferRecord(
+        device=u,
+        server=s,
+        subcarrier=smap.subcarrier(pair),
+        power=power,
+        sinr=snr,
+        rate=r,
+        transfer_seconds=seconds,
+        energy_joules=power * seconds,
+    )
 
 
 @dataclass(frozen=True)

@@ -387,3 +387,14 @@ def test_radio_config_validation():
     with pytest.raises(InvalidParameterError, match="transmit floor"):
         RadioConfig(max_power=1e-3, rated_power=1e-3)
     assert RadioConfig().subcarrier_bandwidth == 39062.5
+
+
+@pytest.mark.parametrize("gain", [2e-13, 0.0])
+def test_system_cost_rejects_negative_power(gain):
+    # a zero gain makes the SINR -0.0, which rate accepts, so the power
+    # itself must be checked
+    topo = _single_cell_topology([[gain]])
+    smap = assign_subcarriers([(0, 0)], 4)
+    plan = OffloadPlan((_record(0, 0),))
+    with pytest.raises(InvalidParameterError, match="transmit power must be non-negative"):
+        system_cost(plan, {(0, 0): -0.1}, topo, RadioConfig(), smap)

@@ -1,25 +1,25 @@
 """Check that two checkouts emit the same benchmark outputs, seed by seed.
 
-    python3 tools/same_outputs.py [--parent REV_OR_DIR] [--seeds 1-10]
-                                  [--workloads golden,desk_audit,full_offload]
+    python3 tools/same_outputs.py --parent REV_OR_DIR
 
-Runs each workload function of ``perfbench/worker.py`` once per seed, with
-no timing loop, and prints the sha256 of its checked outputs: the
-benchmark's ``artifacts_sha256``. Each checkout runs in one subprocess,
-with ``PYTHONPATH=<checkout>/src`` and BLAS pinned to one thread, on its
-own ``perfbench/`` and scenario files, and writes no bytecode there.
+Runs the golden, desk_audit and full_offload workload functions of
+``perfbench/worker.py`` once for each of seeds 1-10, with no timing loop,
+and prints the sha256 of their checked outputs: the benchmark's
+``artifacts_sha256``. Each checkout runs in one subprocess, in the
+environment its own ``perfbench/run.py`` gives a worker (its ``src/`` on
+``PYTHONPATH``, BLAS on one thread), on its own ``perfbench/`` and scenario
+files, and writes no bytecode there.
 
-``--parent`` is a checkout directory or a git revision of this repository,
-exported with ``git archive`` into a temporary directory; it defaults to
-``HEAD``, so before a commit the working tree is compared with its last
-commit. The other side is the checkout this script sits in. The exit
-status is 1 when a digest differs or an output check fails on either side.
-Stdlib only.
+``--parent`` names the parent commit of the change: a checkout directory or
+a git revision of this repository, exported with ``git archive`` into a
+temporary directory. The other side is the checkout this script sits in,
+working tree included. The exit status is 1 when a digest differs or an
+output check fails on either side. Stdlib only.
 """
 
 import argparse
+import importlib.util
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -27,14 +27,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = "golden,desk_audit,full_offload"
-BLAS_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
+SEEDS = "1,2,3,4,5,6,7,8,9,10"
 
 # Runs inside the checkout's interpreter: argv is checkout, workloads, seeds.
 CHILD = """
@@ -57,17 +50,14 @@ for name in sys.argv[2].split(","):
 """
 
 
-def _seeds(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def digests(checkout, workloads, seeds):
+def digests(checkout):
     """``{(workload, seed): (sha256, failures)}`` for one checkout."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.update({var: "1" for var in BLAS_VARS})
+    spec = importlib.util.spec_from_file_location("run", checkout / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    env = dict(run._child_env(), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(checkout), workloads, ",".join(map(str, seeds))],
+        [sys.executable, "-c", CHILD, str(checkout), WORKLOADS, SEEDS],
         env=env,
         cwd=checkout,
         stdout=subprocess.PIPE,
@@ -80,11 +70,8 @@ def digests(checkout, workloads, seeds):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--seeds", default="1-10", help="one seed N or a range N-M")
-    parser.add_argument("--workloads", default=WORKLOADS)
+    parser.add_argument("--parent", required=True, help="the parent commit or its checkout")
     args = parser.parse_args()
-    seeds = _seeds(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         parent = pathlib.Path(args.parent)
         if not parent.is_dir():
@@ -95,8 +82,8 @@ def main():
                 check=True,
             )
             subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        before = digests(parent.resolve(), args.workloads, seeds)
-    after = digests(ROOT, args.workloads, seeds)
+        before = digests(parent.resolve())
+    after = digests(ROOT)
     bad = 0
     for key in sorted(set(before) | set(after)):
         (old, old_fails), (new, new_fails) = (
