@@ -57,7 +57,6 @@ from .network import (
     effective_interference,
     place_topology,
     rate,
-    sinr,
     system_cost,
     transfer_time,
 )
@@ -66,7 +65,6 @@ from .power import (
     PowerResult,
     allocate_power,
     objective,
-    pair_params,
     quasiconvexity_probe,
     solve_pair,
 )
@@ -91,7 +89,6 @@ from .harness import (
     paper_scale_config,
     run_scenario,
     server_datasets_from_plan,
-    sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

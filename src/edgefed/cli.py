@@ -14,7 +14,6 @@ from .harness import (
     emit,
     resolve_out_dir,
     run_scenario,
-    sweep,
 )
 from .scheduler import Policy
 
@@ -57,26 +56,24 @@ def _cmd_sweep(args) -> int:
     if not paths:
         raise FileNotFoundError(f"no config files match {args.configs!r}")
     configs = [ScenarioConfig.from_json(p) for p in paths]
-    results = sweep(configs)
     rows = []
-    failed = 0
-    for path, cfg, res in zip(paths, configs, results):
-        if res["ok"]:
-            bundle = res["bundle"]
-            out_dir = resolve_out_dir(cfg) / Path(path).stem
-            emit(bundle, out_dir)
-            rows.append(
-                {
-                    "config": path,
-                    "cost_joules": bundle.cost_joules,
-                    "final_accuracy": bundle.final_accuracy,
-                }
-            )
-        else:
-            failed += 1
-            rows.append({"config": path, "error": res["error"]})
+    for path, cfg in zip(paths, configs):
+        try:
+            bundle = run_scenario(cfg)
+        except Exception as exc:  # noqa: BLE001 (a failing scenario must not stop its siblings)
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            rows.append({"config": path, "error": error})
+            continue
+        emit(bundle, resolve_out_dir(cfg) / Path(path).stem)
+        rows.append(
+            {
+                "config": path,
+                "cost_joules": bundle.cost_joules,
+                "final_accuracy": bundle.final_accuracy,
+            }
+        )
     print(json.dumps(rows, sort_keys=True))
-    return 1 if failed else 0
+    return 1 if any("error" in row for row in rows) else 0
 
 
 def _cmd_audit(args) -> int:

@@ -20,9 +20,24 @@ from .errors import DimensionMismatchError, InvalidInputError, InvalidParameterE
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``: how a public constructor keeps its input."""
     arr = np.asarray(values, dtype=dtype).copy()
     arr.flags.writeable = False
     return arr
+
+
+def _trusted(cls, **arrays):
+    """Build ``cls`` from fresh arrays, freezing them in place and skipping validation.
+
+    Only for arrays this module has just built, of the right dtype and shape,
+    that no caller can reach: marking them read-only is all the public
+    constructor would add, so its checks and its copy are skipped.
+    """
+    out = object.__new__(cls)
+    for name, arr in arrays.items():
+        arr.flags.writeable = False
+        object.__setattr__(out, name, arr)
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,19 +84,6 @@ class LabelDistribution:
         if num_classes < 2:
             raise InvalidInputError("label histogram needs at least two classes")
         return LabelDistribution(np.zeros(num_classes, dtype=np.int64))
-
-    @classmethod
-    def _wrap(cls, counts: np.ndarray) -> "LabelDistribution":
-        """Freeze a fresh int64 count row in place, skipping validation and the copy.
-
-        Only for rows this module has just built as non-negative counts over
-        at least two classes, which no caller can reach, so marking them
-        read-only is all the public constructor would add.
-        """
-        counts.flags.writeable = False
-        out = object.__new__(cls)
-        object.__setattr__(out, "counts", counts)
-        return out
 
 
 @dataclass(frozen=True)
@@ -233,22 +235,7 @@ class Dataset:
             raise InvalidInputError("cannot concatenate zero datasets")
         feats = np.concatenate([p.features for p in parts], axis=0)
         labels = np.concatenate([p.labels for p in parts], axis=0)
-        return Dataset._wrap(feats, labels)
-
-    @classmethod
-    def _wrap(cls, features: np.ndarray, labels: np.ndarray) -> "Dataset":
-        """Freeze fresh float64 features and int64 labels in place, skipping the copy.
-
-        Only for arrays this module has just built from valid parts and no
-        caller can reach, so marking them read-only is all the public
-        constructor would add.
-        """
-        features.flags.writeable = False
-        labels.flags.writeable = False
-        out = object.__new__(cls)
-        object.__setattr__(out, "features", features)
-        object.__setattr__(out, "labels", labels)
-        return out
+        return _trusted(Dataset, features=feats, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -437,7 +424,7 @@ def generate_clients(
     if isinstance(profile, GroupedProfile):
         counts = _grouped_counts(profile, num_clients, rng)
         counts.flags.writeable = False
-        return [LabelDistribution._wrap(row) for row in counts]
+        return [_trusted(LabelDistribution, counts=row) for row in counts]
     raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
 
 
@@ -488,4 +475,4 @@ def materialize(
     features = rng.standard_normal((labels.size, model.feat_dim))
     features *= model.std
     features += model.means[labels]
-    return Dataset._wrap(features, labels)
+    return _trusted(Dataset, features=features, labels=labels)

@@ -9,7 +9,7 @@ federated run and its shuffled twin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -182,7 +182,7 @@ class DivergenceReport:
             "combined_lipschitz": self.lipschitz.combined,
             "all_hold": self.all_hold,
             "rounds": [
-                {"round": c.round, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
+                {f.name: getattr(c, f.name) for f in fields(BoundCheck)}
                 for c in self.checks
             ],
         }

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Dataset
+from .distributions import Dataset, _frozen_array
 from .errors import (
     DimensionMismatchError,
     InvalidComparisonError,
@@ -24,12 +24,6 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -44,8 +38,8 @@ class ModelParams:
         b = np.asarray(self.bias, dtype=np.float64)
         if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise DimensionMismatchError("weights must be (C, d) with bias (C,)")
-        object.__setattr__(self, "weights", _frozen(w))
-        object.__setattr__(self, "bias", _frozen(b))
+        object.__setattr__(self, "weights", _frozen_array(w, np.float64))
+        object.__setattr__(self, "bias", _frozen_array(b, np.float64))
 
     @property
     def num_classes(self) -> int:

@@ -1,4 +1,4 @@
-"""Scenario configuration, the end-to-end pipeline, sweeps, and emission.
+"""Scenario configuration, the end-to-end pipeline, and emission.
 
 A scenario seed expands into independent streams for topology placement,
 data synthesis, scheduling, and training, so two runs of the same config
@@ -13,7 +13,6 @@ import os
 import platform
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -86,6 +85,8 @@ class DataParams:
         for name in ("bits_per_sample", "eval_samples_per_class"):
             if getattr(self, name) < 1:
                 raise InvalidParameterError(f"{name} must be at least 1")
+        if self.feature_std < 0:
+            raise InvalidParameterError("feature std must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -361,26 +362,6 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
         audit=report,
         versions=_versions(),
     )
-
-
-def sweep(configs: Sequence[ScenarioConfig]) -> list:
-    """Run several scenarios one after another.
-
-    Results come back in input order. A failing scenario contributes an
-    error record instead of aborting its siblings.
-    """
-
-    def one(cfg: ScenarioConfig):
-        try:
-            return {"ok": True, "bundle": run_scenario(cfg)}
-        except Exception as exc:  # noqa: BLE001 (isolation is the point here)
-            return {
-                "ok": False,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-                "config": cfg.to_dict(),
-            }
-
-    return [one(cfg) for cfg in configs]
 
 
 def _fmt(value: float) -> str:

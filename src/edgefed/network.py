@@ -9,12 +9,12 @@ transfers in other cells appear as interference at the receiving server.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import LabelDistribution, uniform_distribution
+from .distributions import LabelDistribution, _frozen_array, uniform_distribution
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -108,8 +108,9 @@ class Device:
 class Topology:
     """Placed servers and devices with frozen channel gains.
 
-    ``gains[u, s]`` is the linear power gain from device row ``u`` (by the
-    order of ``devices``) to server ``s``.
+    Every device and server id is its position in ``devices`` or
+    ``servers``, so ``gains[u, s]`` is the linear power gain from device
+    ``u`` to server ``s``.
     """
 
     servers: tuple
@@ -117,29 +118,26 @@ class Topology:
     gains: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=np.float64).copy()
+        g = _frozen_array(self.gains, np.float64)
         if g.shape != (len(self.devices), len(self.servers)):
             raise InvalidInputError("gain matrix shape mismatch")
-        g.flags.writeable = False
+        for kind, items in (("device", self.devices), ("server", self.servers)):
+            for i, item in enumerate(items):
+                if item.id != i:
+                    raise InvalidInputError(f"{kind} at position {i} has id {item.id}")
         object.__setattr__(self, "gains", g)
-        object.__setattr__(
-            self, "_index", {d.id: i for i, d in enumerate(self.devices)}
-        )
 
     def device(self, device_id: int) -> Device:
-        try:
-            return self.devices[self._index[device_id]]
-        except KeyError:
-            raise UnknownPairError(f"no device with id {device_id}") from None
+        if not (0 <= device_id < len(self.devices)):
+            raise UnknownPairError(f"no device with id {device_id}")
+        return self.devices[device_id]
 
     def gain(self, device_id: int, server_id: int) -> float:
         if not (0 <= server_id < len(self.servers)):
             raise UnknownPairError(f"no server with id {server_id}")
-        try:
-            row = self._index[device_id]
-        except KeyError:
-            raise UnknownPairError(f"no device with id {device_id}") from None
-        return float(self.gains[row, server_id])
+        if not (0 <= device_id < len(self.devices)):
+            raise UnknownPairError(f"no device with id {device_id}")
+        return float(self.gains[device_id, server_id])
 
     def distance(self, device_id: int, server_id: int) -> float:
         d = self.device(device_id)
@@ -325,23 +323,6 @@ def effective_interference(
     return cfg.noise_power + interference
 
 
-def sinr(
-    pair,
-    power: float,
-    smap: SubcarrierMap,
-    topo: Topology,
-    cfg: RadioConfig,
-) -> float:
-    """Signal-to-interference-plus-noise ratio of one transfer.
-
-    Every co-channel transfer interferes at the rated power.
-    """
-    if power < 0:
-        raise InvalidParameterError("transmit power must be non-negative")
-    u, s = pair
-    return topo.gain(u, s) * power / effective_interference(pair, smap, topo, cfg)
-
-
 def rate(sinr_value: float, cfg: RadioConfig) -> float:
     """Achievable uplink rate in bits per second on one subcarrier."""
     if sinr_value < 0:
@@ -378,7 +359,7 @@ def transfer_record(
     """Radio record of one transfer at ``power``.
 
     ``noise_floor`` is the pair's ``effective_interference``, and the SINR is
-    ``sinr``'s expression over it.
+    ``gain * power / noise_floor``.
     """
     if power < 0:
         raise InvalidParameterError("transmit power must be non-negative")
@@ -424,21 +405,8 @@ class OffloadPlan:
         return {(e.device, e.server): e.power for e in self.entries}
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "device": e.device,
-                    "server": e.server,
-                    "subcarrier": e.subcarrier,
-                    "power": e.power,
-                    "sinr": e.sinr,
-                    "rate": e.rate,
-                    "transfer_seconds": e.transfer_seconds,
-                    "energy_joules": e.energy_joules,
-                }
-                for e in self.entries
-            ]
-        }
+        names = [f.name for f in fields(TransferRecord)]
+        return {"entries": [{n: getattr(e, n) for n in names} for e in self.entries]}
 
 
 def system_cost(

@@ -57,13 +57,6 @@ class PairParams:
             raise InvalidParameterError("need 0 < p_min < p_max")
 
 
-def pair_params(
-    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
-) -> PairParams:
-    """Build the decoupled objective coefficients for one planned pair."""
-    return _pair_params(pair, effective_interference(pair, smap, topo, cfg), topo, cfg)
-
-
 def _pair_params(pair, noise_floor: float, topo: Topology, cfg: RadioConfig) -> PairParams:
     u, s = pair
     bits = topo.device(u).data_bits

@@ -115,9 +115,9 @@ def serviceable_set(server_id: int, topo: Topology) -> list:
     A device qualifies when the server is its home (nearest) server and it
     actually holds samples.
     """
-    return sorted(
+    return [
         d.id for d in topo.devices if d.home_server == server_id and d.dist.total() > 0
-    )
+    ]
 
 
 def _kl_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -7,7 +7,10 @@ bulk, or a reading of its outputs that no artifact needs.
 import numpy as np
 
 from edgefed.distributions import Dataset, LabelDistribution
+from edgefed.errors import InvalidParameterError
 from edgefed.federated import ModelParams, loss_and_grad
+from edgefed.network import RadioConfig, SubcarrierMap, Topology, effective_interference
+from edgefed.power import PairParams, _pair_params
 from edgefed.scheduler import OffloadTrace
 
 
@@ -67,3 +70,27 @@ def flatten(params: ModelParams) -> np.ndarray:
 def label_histogram(dataset: Dataset, num_classes: int) -> LabelDistribution:
     counts = np.bincount(dataset.labels, minlength=num_classes)
     return LabelDistribution(counts)
+
+
+def sinr(
+    pair,
+    power: float,
+    smap: SubcarrierMap,
+    topo: Topology,
+    cfg: RadioConfig,
+) -> float:
+    """Signal-to-interference-plus-noise ratio of one transfer.
+
+    Every co-channel transfer interferes at the rated power.
+    """
+    if power < 0:
+        raise InvalidParameterError("transmit power must be non-negative")
+    u, s = pair
+    return topo.gain(u, s) * power / effective_interference(pair, smap, topo, cfg)
+
+
+def pair_params(
+    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
+) -> PairParams:
+    """Build the decoupled objective coefficients for one planned pair."""
+    return _pair_params(pair, effective_interference(pair, smap, topo, cfg), topo, cfg)

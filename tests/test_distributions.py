@@ -28,6 +28,14 @@ from edgefed.errors import (
 from oracles import label_histogram
 
 
+def _read_only(*arrays):
+    """Each array, and the array it views if any, rejects writes."""
+    return all(
+        not a.flags.writeable and (a.base is None or not a.base.flags.writeable)
+        for a in arrays
+    )
+
+
 # ---------------------------------------------------------------- histograms
 
 
@@ -250,7 +258,7 @@ def test_grouped_clients_equal_the_per_client_oracle(name, seed):
     want = _oracle_grouped_clients(profile, 300, oracle_rng)
     assert [c.counts.tolist() for c in got] == [c.tolist() for c in want]
     assert rng.random() == oracle_rng.random()
-    assert all(c.counts.dtype == np.int64 and not c.counts.flags.writeable for c in got)
+    assert all(c.counts.dtype == np.int64 and _read_only(c.counts) for c in got)
 
 
 def test_grouped_count_too_large_for_int64_raises():
@@ -364,14 +372,14 @@ def test_materialize_equals_per_class_blocks(std):
         assert np.array_equal(ds.labels, labels)
         assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
         assert fresh.random() == old.random()
-        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+        assert _read_only(ds.features, ds.labels)
 
 
 def test_dataset_concat_is_read_only_and_owns_its_arrays():
     model = separated_feature_model(3, 5, 6.0, 1.0)
     parts = [materialize(uniform_distribution(3, n), model, default_rng(n)) for n in (7, 0, 5)]
     both = Dataset.concat(parts)
-    assert not both.features.flags.writeable and not both.labels.flags.writeable
+    assert _read_only(both.features, both.labels)
     assert not any(np.shares_memory(both.features, p.features) for p in parts)
     one = Dataset.concat(parts[:1])
     assert not np.shares_memory(one.features, parts[0].features)

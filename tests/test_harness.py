@@ -26,7 +26,6 @@ from edgefed.harness import (
     resolve_out_dir,
     run_scenario,
     server_datasets_from_plan,
-    sweep,
 )
 from edgefed.network import assign_subcarriers, system_cost
 from edgefed.rng import substream
@@ -171,6 +170,7 @@ def test_config_from_json(tmp_path):
             "data.profile: group_weights: a client needs 2 groups, "
             "but only 1 weights are positive",
         ),
+        ({"data": {"feature_std": -1.0}}, "data: feature std must be non-negative"),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):
@@ -185,8 +185,9 @@ def test_config_names_the_section_missing_a_field():
 
 
 def test_config_accepts_int_for_float():
-    cfg = ScenarioConfig.from_dict({"radio": {"max_power": 2}})
+    cfg = ScenarioConfig.from_dict({"radio": {"max_power": 2}, "data": {"feature_std": 0}})
     assert cfg.radio.max_power == 2.0
+    assert cfg.data.feature_std == 0  # the boundary loads, as FeatureModel allows it
 
 
 def test_config_optional_fields_accept_their_type():
@@ -410,33 +411,6 @@ def test_replay_from_echoed_config(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-# --------------------------------------------------------------------- sweep
-
-
-def test_sweep_empty():
-    assert sweep([]) == []
-
-
-def test_sweep_one_bundle_per_gamma():
-    configs = [_tiny_config(seed=3, scheduler=SchedulerParams(gamma=g)) for g in (60, 120, 180)]
-    results = sweep(configs)
-    assert len(results) == 3
-    for cfg, res in zip(configs, results):
-        assert res["ok"]
-        assert res["bundle"].config["scheduler"]["gamma"] == cfg.scheduler.gamma
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sweep_isolates_failures():
-    good = _tiny_config(seed=30)
-    # the config loads, but so huge a rate overflows the first local step
-    bad = _tiny_config(seed=31, train=TrainConfig(phi=1e308, local_steps=1, rounds=3))
-    results = sweep([good, bad])
-    assert results[0]["ok"]
-    assert not results[1]["ok"]
-    assert results[1]["error"]["type"] == "NumericalFailureError"
-
-
 # ----------------------------------------------------------------------- cli
 
 
@@ -509,6 +483,24 @@ def test_cli_sweep(tmp_path, capsys, monkeypatch):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2
     assert all("cost_joules" in r for r in rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_sweep_isolates_failures(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sweep-out"
+    monkeypatch.setenv("EDGEFED_OUT", str(out))
+    # the config loads, but so huge a rate overflows the first local step;
+    # it sorts first, so its good sibling runs after the failure
+    _write_cfg(tmp_path, name="cfg_a_bad.json", seed=31,
+               train=TrainConfig(phi=1e308, local_steps=1, rounds=3))
+    _write_cfg(tmp_path, name="cfg_b_good.json", seed=30)
+    rc = main(["sweep", "--configs", str(tmp_path / "cfg*.json")])
+    assert rc == 1
+    bad, good = json.loads(capsys.readouterr().out)
+    assert bad["error"]["type"] == "NumericalFailureError"
+    assert "cost_joules" in good
+    assert (out / "cfg_b_good" / "summary.json").is_file()
+    assert not (out / "cfg_a_bad").exists()
 
 
 def test_cli_error_funnel(tmp_path, capsys):

@@ -27,10 +27,11 @@ from edgefed.network import (
     effective_interference,
     place_topology,
     rate,
-    sinr,
     system_cost,
     transfer_time,
 )
+
+from oracles import sinr
 
 
 def _single_cell_topology(gain_matrix, bits=100_000, num_servers=1):
@@ -108,6 +109,29 @@ def test_placement_validation():
             default_rng(0),
             dists=[uniform_distribution(4, 5)],
         )
+
+
+def test_topology_ids_are_positions():
+    topo = _single_cell_topology([[1e-9, 2e-9], [3e-9, 4e-9]], num_servers=2)
+    assert topo.gain(1, 0) == 3e-9 and topo.device(1).id == 1
+    assert not topo.gains.flags.writeable
+    swapped = (topo.devices[1], topo.devices[0])
+    with pytest.raises(InvalidInputError, match="device at position 0 has id 1"):
+        Topology(topo.servers, swapped, topo.gains)
+    shifted = tuple(Server(s + 1, (0.0, 0.0)) for s in range(2))
+    with pytest.raises(InvalidInputError, match="server at position 0 has id 1"):
+        Topology(shifted, topo.devices, topo.gains)
+    # a negative id must not wrap to the last row
+    for lookup in (
+        lambda: topo.device(-1),
+        lambda: topo.device(2),
+        lambda: topo.gain(-1, 0),
+        lambda: topo.gain(2, 0),
+        lambda: topo.gain(0, -1),
+        lambda: topo.gain(0, 2),
+    ):
+        with pytest.raises(UnknownPairError):
+            lookup()
 
 
 def _place_pairwise(num_servers, devices_per_server, cell_radius, rng, **kw):

@@ -18,17 +18,17 @@ from edgefed.network import (
     effective_interference,
     place_topology,
     rate,
-    sinr,
 )
 from edgefed.power import (
     PairParams,
     allocate_power,
     feasibility,
     objective,
-    pair_params,
     quasiconvexity_probe,
     solve_pair,
 )
+
+from oracles import pair_params, sinr
 
 
 def _one_server_topo(gain_rows, bits=100_000):
