@@ -55,10 +55,10 @@ def _cmd_sweep(args) -> int:
     paths = sorted(glob.glob(args.configs))
     if not paths:
         raise FileNotFoundError(f"no config files match {args.configs!r}")
-    configs = [ScenarioConfig.from_json(p) for p in paths]
     rows = []
-    for path, cfg in zip(paths, configs):
+    for path in paths:
         try:
+            cfg = ScenarioConfig.from_json(path)
             bundle = run_scenario(cfg)
         except Exception as exc:  # noqa: BLE001 (a failing scenario must not stop its siblings)
             error = {"type": type(exc).__name__, "message": str(exc)}

@@ -81,9 +81,8 @@ class LabelDistribution:
 
     @staticmethod
     def zeros(num_classes: int) -> "LabelDistribution":
-        if num_classes < 2:
-            raise InvalidInputError("label histogram needs at least two classes")
-        return LabelDistribution(np.zeros(num_classes, dtype=np.int64))
+        # A list, not np.zeros, so a negative count meets the constructor's check.
+        return LabelDistribution([0] * num_classes)
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,6 @@ class ModelParams:
     def num_classes(self) -> int:
         return int(self.weights.shape[0])
 
-    @property
-    def feat_dim(self) -> int:
-        return int(self.weights.shape[1])
-
     @staticmethod
     def zeros(num_classes: int, feat_dim: int) -> "ModelParams":
         return ModelParams(np.zeros((num_classes, feat_dim)), np.zeros(num_classes))
@@ -362,6 +358,19 @@ def _rounds(datasets, stack: _Stack, starts, cfg: TrainConfig, rng):
         yield weights, bias, current
 
 
+def _start_model(datasets, init: ModelParams | None, eval_set=None) -> ModelParams:
+    """``init``, or the zero model over every label of ``datasets`` and ``eval_set``."""
+    if not datasets:
+        raise InvalidInputError("need at least one dataset")
+    if min(map(len, datasets)) == 0:
+        raise InvalidInputError("server datasets must be non-empty")
+    if init is not None:
+        return init
+    scored = [eval_set] if eval_set is not None and len(eval_set) > 0 else []
+    num_classes = 1 + max(int(d.labels.max()) for d in [*datasets, *scored])
+    return ModelParams.zeros(num_classes, datasets[0].feat_dim)
+
+
 def run_fl(
     server_datasets: Sequence[Dataset],
     cfg: TrainConfig,
@@ -383,16 +392,7 @@ def run_fl(
     Returns:
         Tuple ``(metrics, final_model)`` with one ``RoundMetrics`` per round.
     """
-    if not server_datasets:
-        raise InvalidInputError("need at least one server dataset")
-    for d in server_datasets:
-        if len(d) == 0:
-            raise InvalidInputError("server datasets must be non-empty")
-    feat_dim = server_datasets[0].feat_dim
-    num_classes = int(max(int(d.labels.max()) for d in server_datasets)) + 1
-    if eval_set is not None and len(eval_set) > 0:
-        num_classes = max(num_classes, int(eval_set.labels.max()) + 1)
-    current = init if init is not None else ModelParams.zeros(num_classes, feat_dim)
+    current = _start_model(server_datasets, init, eval_set)
     stack = _Stack(server_datasets, current.num_classes)
     total = float(sum(stack.sizes))
     metrics = []
@@ -462,10 +462,7 @@ def run_paired(
     if cfg.batch_size is not None:
         raise InvalidComparisonError("paired runs are full batch only")
     both = [*left_datasets, *right_datasets]
-    if not both:
-        raise InvalidInputError("need at least one dataset")
-    num_classes = 1 + max(int(d.labels.max()) for d in both)
-    start = init if init is not None else ModelParams.zeros(num_classes, both[0].feat_dim)
+    start = _start_model(both, init)
     # Both arms train side by side in one stack: left servers, then right.
     rounds = _rounds(both, _Stack(both, start.num_classes), [start, start], cfg, None)
     arms = [(start, start), *(models for _, _, models in rounds)]

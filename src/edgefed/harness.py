@@ -303,12 +303,8 @@ def iid_reference(cfg: ScenarioConfig, sizes, rng) -> list:
 
 def evaluation_set(cfg: ScenarioConfig) -> Dataset:
     """Held-out, label-balanced dataset drawn from the scenario's eval stream."""
-    model = _feature_model(cfg)
-    hist = uniform_distribution(
-        cfg.data.num_classes,
-        cfg.data.num_classes * cfg.data.eval_samples_per_class,
-    )
-    return materialize(hist, model, substream(cfg.seed, "eval"))
+    size = cfg.data.num_classes * cfg.data.eval_samples_per_class
+    return iid_reference(cfg, [size], substream(cfg.seed, "eval"))[0]
 
 
 def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:

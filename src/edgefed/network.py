@@ -140,9 +140,9 @@ class Topology:
         return float(self.gains[device_id, server_id])
 
     def distance(self, device_id: int, server_id: int) -> float:
-        d = self.device(device_id)
-        s = self.servers[server_id]
-        return math.dist(d.position, s.position)
+        if not (0 <= server_id < len(self.servers)):
+            raise UnknownPairError(f"no server with id {server_id}")
+        return math.dist(self.device(device_id).position, self.servers[server_id].position)
 
 
 def channel_gain(

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .errors import InvalidParameterError
 from .network import (
@@ -109,47 +106,6 @@ def allocate_power(params: PairParams) -> PowerResult:
     minimum over ``[p_min, p_max]`` sits at ``p_min``.
     """
     return PowerResult(power=params.p_min, value=objective(params, params.p_min))
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Sublevel-interval check of the energy objective on a sampled grid."""
-
-    unimodal: bool
-    violations: tuple
-    grid_size: int
-
-
-def quasiconvexity_probe(
-    params: PairParams,
-    num_samples: int = 256,
-    fn: Callable[[float], float] | None = None,
-) -> ProbeReport:
-    """Test that every sublevel set of the objective is an interval.
-
-    Samples the objective (or a supplied stand-in) on a log-spaced power
-    grid and flags every index that rises above some value both to its left
-    and to its right, which would split a sublevel set in two.
-
-    Args:
-        params: coefficients defining the grid and default objective.
-        num_samples: grid resolution, at least 3.
-        fn: optional replacement for the objective, used to verify the
-            probe itself catches shape defects.
-    """
-    if num_samples < 3:
-        raise InvalidParameterError("need at least three grid points")
-    grid = np.geomspace(params.p_min, params.p_max, num_samples)
-    f = fn if fn is not None else (lambda p: objective(params, p))
-    values = np.asarray([f(float(p)) for p in grid])
-    tol = 1e-12 * float(np.max(np.abs(values))) if values.size else 0.0
-    prefix = np.minimum.accumulate(values)
-    suffix = np.minimum.accumulate(values[::-1])[::-1]
-    bad = []
-    for j in range(1, num_samples - 1):
-        if prefix[j - 1] < values[j] - tol and suffix[j + 1] < values[j] - tol:
-            bad.append(j)
-    return ProbeReport(unimodal=not bad, violations=tuple(bad), grid_size=num_samples)
 
 
 def solve_pair(

@@ -21,6 +21,14 @@ STREAMS = {
 }
 
 
+def _stream(seed: int, label: str, *key: int) -> np.random.Generator:
+    try:
+        index = STREAMS[label]
+    except KeyError:
+        raise KeyError(f"unknown stream label {label!r}") from None
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, *key)))
+
+
 def substream(seed: int, label: str) -> np.random.Generator:
     """Return the independent generator for one labelled stream.
 
@@ -32,11 +40,7 @@ def substream(seed: int, label: str) -> np.random.Generator:
         A ``numpy.random.Generator`` whose draws are independent of every
         other label's stream under the same seed.
     """
-    try:
-        index = STREAMS[label]
-    except KeyError:
-        raise KeyError(f"unknown stream label {label!r}") from None
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    return _stream(seed, label)
 
 
 def keyed_stream(seed: int, label: str, key: int) -> np.random.Generator:
@@ -45,7 +49,4 @@ def keyed_stream(seed: int, label: str, key: int) -> np.random.Generator:
     Entity keys under different labels never collide, so device feature
     draws are stable no matter how many other entities exist.
     """
-    index = STREAMS[label]
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(index, int(key)))
-    )
+    return _stream(seed, label, int(key))

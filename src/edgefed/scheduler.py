@@ -14,6 +14,7 @@ counts of its picked devices, after its pick loop.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -234,20 +235,18 @@ def run_scheduler(
         else:
             pick = _random_picker(ids, rng)
         held = np.zeros(cfg.target.num_classes, dtype=np.int64)
-        plan_total = 0
         picked = []
         for _ in ids:
             device = pick(held)
-            if plan_total < cfg.gamma:
-                plan_pairs.append((device, s))
-                plan_total += dists[device].total()
             held = held + dists[device].counts
             picked.append(device)
-            if cfg.stop_at_threshold and plan_total >= cfg.gamma:
+            if cfg.stop_at_threshold and held.sum() >= cfg.gamma:
                 break
         held = np.cumsum([dists[u].counts for u in picked], axis=0)
         kls = _kl_rows(smoothed_rows(held), target_probs).tolist()
         totals = held.sum(axis=1).tolist()
+        # A pick is planned while the total before it is below gamma.
+        plan_pairs.extend((u, s) for u in picked[: bisect_left(totals, cfg.gamma) + 1])
         trace_rows.extend(
             TraceRow(round=k + 1, server=s, kl=kls[k], total=totals[k], device=u)
             for k, u in enumerate(picked)

@@ -4,13 +4,16 @@ Each is the plain, one-object form of something the pipeline computes in
 bulk, or a reading of its outputs that no artifact needs.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from edgefed.distributions import Dataset, LabelDistribution
 from edgefed.errors import InvalidParameterError
 from edgefed.federated import ModelParams, loss_and_grad
 from edgefed.network import RadioConfig, SubcarrierMap, Topology, effective_interference
-from edgefed.power import PairParams, _pair_params
+from edgefed.power import PairParams, _pair_params, objective
 from edgefed.scheduler import OffloadTrace
 
 
@@ -94,3 +97,44 @@ def pair_params(
 ) -> PairParams:
     """Build the decoupled objective coefficients for one planned pair."""
     return _pair_params(pair, effective_interference(pair, smap, topo, cfg), topo, cfg)
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    """Sublevel-interval check of the energy objective on a sampled grid."""
+
+    unimodal: bool
+    violations: tuple
+    grid_size: int
+
+
+def quasiconvexity_probe(
+    params: PairParams,
+    num_samples: int = 256,
+    fn: Callable[[float], float] | None = None,
+) -> ProbeReport:
+    """Test that every sublevel set of the objective is an interval.
+
+    Samples the objective (or a supplied stand-in) on a log-spaced power
+    grid and flags every index that rises above some value both to its left
+    and to its right, which would split a sublevel set in two.
+
+    Args:
+        params: coefficients defining the grid and default objective.
+        num_samples: grid resolution, at least 3.
+        fn: optional replacement for the objective, used to verify the
+            probe itself catches shape defects.
+    """
+    if num_samples < 3:
+        raise InvalidParameterError("need at least three grid points")
+    grid = np.geomspace(params.p_min, params.p_max, num_samples)
+    f = fn if fn is not None else (lambda p: objective(params, p))
+    values = np.asarray([f(float(p)) for p in grid])
+    tol = 1e-12 * float(np.max(np.abs(values))) if values.size else 0.0
+    prefix = np.minimum.accumulate(values)
+    suffix = np.minimum.accumulate(values[::-1])[::-1]
+    bad = []
+    for j in range(1, num_samples - 1):
+        if prefix[j - 1] < values[j] - tol and suffix[j + 1] < values[j] - tol:
+            bad.append(j)
+    return ProbeReport(unimodal=not bad, violations=tuple(bad), grid_size=num_samples)

@@ -50,11 +50,17 @@ from edgefed.harness import (
     server_datasets_from_plan,
 )
 from edgefed.network import TransferRecord, assign_subcarriers, system_cost
-from edgefed.power import PairParams, allocate_power, objective, quasiconvexity_probe
+from edgefed.power import PairParams, allocate_power, objective
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
-from oracles import flatten, gradient_divergence, label_histogram, rounds_to_threshold
+from oracles import (
+    flatten,
+    gradient_divergence,
+    label_histogram,
+    quasiconvexity_probe,
+    rounds_to_threshold,
+)
 
 SEEDS = tuple(range(1, 11))
 

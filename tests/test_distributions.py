@@ -146,6 +146,10 @@ def test_grouped_validation():
         GroupedProfile(num_high_classes=0)
     with pytest.raises(InvalidParameterError):
         GroupedProfile(group_size=11)
+    with pytest.raises(InvalidParameterError, match="num_clients must be positive"):
+        generate_clients(GroupedProfile(), 0, default_rng(0))
+    with pytest.raises(InvalidParameterError, match="unknown profile type"):
+        generate_clients(object(), 3, default_rng(0))
 
 
 def test_group_weights_validation():

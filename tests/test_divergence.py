@@ -1,5 +1,6 @@
 """KL divergence, gradient-divergence measurement, and the drift bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from edgefed.divergence import (
 )
 from edgefed.errors import (
     DimensionMismatchError,
+    InvalidComparisonError,
     InvalidInputError,
     InvalidParameterError,
 )
@@ -288,6 +290,19 @@ def test_audit_skewed_versus_balanced_holds():
         assert report.all_hold
         # the gap a skewed population opens is genuinely nonzero
         assert max(paired.distances) > 0.0
+
+
+def test_audit_rejects_incomparable_runs():
+    parts = _grouped_parts(10)
+    paired = run_paired(parts, parts, TrainConfig(phi=0.05, local_steps=1, rounds=3))
+    shorter = dataclasses.replace(paired, right_params=paired.right_params[:-1])
+    with pytest.raises(InvalidComparisonError, match="differ in length"):
+        audit_drift_bound(shorter, parts)
+    extra = dataclasses.replace(paired, distances=paired.distances + (0.0,))
+    with pytest.raises(InvalidComparisonError, match="do not match round count"):
+        audit_drift_bound(extra, parts)
+    with pytest.raises(InvalidInputError, match="heterogeneous server datasets"):
+        audit_drift_bound(paired, [])
 
 
 def test_audit_report_serialises():

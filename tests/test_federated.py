@@ -106,6 +106,9 @@ def test_empty_dataset_is_rejected():
     # An empty list of datasets, not only an empty dataset.
     with pytest.raises(InvalidInputError, match="need at least one dataset"):
         run_paired([], [], TrainConfig())
+    # with no init the start model reads the labels, which an empty set lacks
+    with pytest.raises(InvalidInputError, match="must be non-empty"):
+        run_paired([empty], [empty], TrainConfig())
     with pytest.raises(InvalidInputError, match="need at least one dataset"):
         list(server_gradients([ModelParams.zeros(10, 4)], []))
 
@@ -503,6 +506,17 @@ def test_fl_minibatch_determinism():
     assert tuple(m.global_loss for m in other) != runs[0][0]
 
 
+def test_fl_default_start_covers_the_eval_labels():
+    """With no init, the zero model spans every class of the servers and the
+    eval set; a class only the eval set holds still gets its row."""
+    parts = [_dataset(63, num_classes=3)]
+    eval_set = _dataset(64, num_classes=4)
+    _, out = run_fl(parts, TrainConfig(rounds=1), eval_set)
+    assert out.weights.shape == (4, 6)
+    _, out = run_fl(parts, TrainConfig(rounds=1), None)
+    assert out.weights.shape == (3, 6)
+
+
 def test_fl_rejects_empty_servers():
     with pytest.raises(InvalidInputError):
         run_fl([], TrainConfig(), _dataset(48))
@@ -563,5 +577,7 @@ def test_paired_size_mismatch_is_rejected():
     b = [_dataset(60, n=31)]
     with pytest.raises(InvalidComparisonError):
         run_paired(a, b, TrainConfig())
+    with pytest.raises(InvalidComparisonError, match="equal server counts"):
+        run_paired(a, a + a, TrainConfig())
     with pytest.raises(InvalidComparisonError):
         run_paired(a, a, TrainConfig(batch_size=8))

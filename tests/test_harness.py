@@ -171,6 +171,9 @@ def test_config_from_json(tmp_path):
             "but only 1 weights are positive",
         ),
         ({"data": {"feature_std": -1.0}}, "data: feature std must be non-negative"),
+        ({"train": {"phi": -0.05}}, "train: learning rate must be non-negative"),
+        ({"train": {"rounds": -1}}, "train: rounds must be non-negative"),
+        ({"train": {"batch_size": 0}}, "train: batch_size must be positive when set"),
     ],
 )
 def test_config_rejects_unknown_keys_and_wrong_types(payload, message):
@@ -444,6 +447,8 @@ def test_cli_policy_and_gamma_overrides(tmp_path, capsys):
             "iojr",
             "--gamma",
             "90",
+            "--seed",
+            "21",
             "--out",
             str(out),
         ]
@@ -453,6 +458,7 @@ def test_cli_policy_and_gamma_overrides(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["scheduler"]["policy"] == "iojr"
     assert summary["config"]["scheduler"]["gamma"] == 90
+    assert summary["config"]["seed"] == 21
 
 
 def test_cli_env_var_redirects_output(tmp_path, capsys, monkeypatch):
@@ -493,14 +499,24 @@ def test_cli_sweep_isolates_failures(tmp_path, capsys, monkeypatch):
     # it sorts first, so its good sibling runs after the failure
     _write_cfg(tmp_path, name="cfg_a_bad.json", seed=31,
                train=TrainConfig(phi=1e308, local_steps=1, rounds=3))
+    # this one does not load at all; it too sorts before the good sibling
+    typo = _tiny_config(seed=32).to_dict()
+    typo["train"]["rouns"] = typo["train"].pop("rounds")
+    (tmp_path / "cfg_a_typo.json").write_text(json.dumps(typo))
     _write_cfg(tmp_path, name="cfg_b_good.json", seed=30)
     rc = main(["sweep", "--configs", str(tmp_path / "cfg*.json")])
     assert rc == 1
-    bad, good = json.loads(capsys.readouterr().out)
+    bad, unloadable, good = json.loads(capsys.readouterr().out)
     assert bad["error"]["type"] == "NumericalFailureError"
+    assert unloadable["error"] == {
+        "type": "InvalidInputError",
+        "message": "train.rouns: unknown key",
+    }
+    assert unloadable["config"].endswith("cfg_a_typo.json")
     assert "cost_joules" in good
     assert (out / "cfg_b_good" / "summary.json").is_file()
     assert not (out / "cfg_a_bad").exists()
+    assert not (out / "cfg_a_typo").exists()
 
 
 def test_cli_error_funnel(tmp_path, capsys):
@@ -569,11 +585,13 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
         harness.emit(bundle, tmp_path)
     finally:
         tracer.remove()
+    # Read before layer_metrics, whose lookups insert every span name.
+    fired = set(tracer.total)
     layers = tracer.layer_metrics(1.0)
     assert set(layers) | {"power.energy_j", "trace.run_s", "trace.overhead_s"} == set(
         tracing.LAYER_UNITS
     )
-    assert set(tracing.SPAN_TARGETS) | {"power"} <= set(tracer.total)
+    assert set(tracing.SPAN_TARGETS) | {"power"} <= fired
     assert layers["power.pairs_priced"] == len(bundle.plan.entries)
     # The scheduler computes each server's trace KLs in one array op and no
     # longer calls ``scheduler.kl``, so the tracer's KL counter reads 0.

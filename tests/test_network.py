@@ -121,6 +121,8 @@ def test_topology_ids_are_positions():
     shifted = tuple(Server(s + 1, (0.0, 0.0)) for s in range(2))
     with pytest.raises(InvalidInputError, match="server at position 0 has id 1"):
         Topology(shifted, topo.devices, topo.gains)
+    with pytest.raises(InvalidInputError, match="gain matrix shape mismatch"):
+        Topology(topo.servers, topo.devices, topo.gains.T[:1])
     # a negative id must not wrap to the last row
     for lookup in (
         lambda: topo.device(-1),
@@ -129,6 +131,8 @@ def test_topology_ids_are_positions():
         lambda: topo.gain(2, 0),
         lambda: topo.gain(0, -1),
         lambda: topo.gain(0, 2),
+        lambda: topo.distance(0, -1),
+        lambda: topo.distance(0, 2),
     ):
         with pytest.raises(UnknownPairError):
             lookup()
@@ -264,6 +268,8 @@ def test_subcarrier_wraparound_and_duplicates():
         assign_subcarriers([(1, 0), (1, 1)], 4)
     with pytest.raises(UnknownPairError):
         smap.subcarrier((99, 0))
+    with pytest.raises(InvalidParameterError):
+        assign_subcarriers(pairs, 0)
 
 
 # ---------------------------------------------------------------------- sinr
@@ -329,6 +335,8 @@ def test_rate_landmarks():
     assert rate(0.0, cfg) == 0.0
     assert math.isclose(rate(1.0, cfg), 39062.5, rel_tol=1e-12)
     assert math.isclose(rate(3.0, cfg), 78125.0, rel_tol=1e-12)
+    with pytest.raises(InvalidParameterError, match="SINR must be non-negative"):
+        rate(-1e-12, cfg)
 
 
 def test_transfer_time_basics():
@@ -405,6 +413,10 @@ def test_system_cost_missing_power():
 def test_radio_config_validation():
     with pytest.raises(InvalidParameterError):
         RadioConfig(subcarriers=0)
+    with pytest.raises(InvalidParameterError, match="bandwidth must be positive"):
+        RadioConfig(bandwidth_hz=0.0)
+    with pytest.raises(InvalidParameterError, match="noise power must be positive"):
+        RadioConfig(noise_power=0.0)
     with pytest.raises(InvalidParameterError):
         RadioConfig(rated_power=2.0, max_power=1.0)
     # pricing puts every pair at the 1 mW floor, so the ceiling must lie above it

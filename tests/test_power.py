@@ -24,11 +24,10 @@ from edgefed.power import (
     allocate_power,
     feasibility,
     objective,
-    quasiconvexity_probe,
     solve_pair,
 )
 
-from oracles import pair_params, sinr
+from oracles import pair_params, quasiconvexity_probe, sinr
 
 
 def _one_server_topo(gain_rows, bits=100_000):

@@ -28,6 +28,8 @@ def test_seeds_change_every_stream():
 def test_unknown_label_raises():
     with pytest.raises(KeyError):
         substream(1, "weather")
+    with pytest.raises(KeyError, match="unknown stream label 'nope'"):
+        keyed_stream(1, "nope", 3)
 
 
 def test_keyed_stream_distinguishes_entities():

@@ -16,7 +16,12 @@ from edgefed.distributions import (
     uniform_distribution,
 )
 from edgefed.divergence import complement, kl
-from edgefed.errors import DimensionMismatchError, InvalidParameterError
+from edgefed.errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    InvalidParameterError,
+    UnreachableDeviceError,
+)
 from edgefed.network import RadioConfig, TopologyParams, TransferRecord, place_topology
 from edgefed.scheduler import (
     Policy,
@@ -71,6 +76,8 @@ def test_uniform_target_total():
     assert int(target.counts.max() - target.counts.min()) <= 1
     with pytest.raises(InvalidParameterError):
         uniform_target(0, 200, 10)
+    with pytest.raises(InvalidParameterError):
+        uniform_target(10, 0, 10)
 
 
 def test_scheduler_config_validation():
@@ -286,6 +293,42 @@ def test_plan_devices_are_disjoint():
     devices = [e.device for e in plan.entries]
     assert len(devices) == len(set(devices))
 
+    # the plan itself refuses a device planned twice and a zero-rate transfer
+    def duplicate(pair, *args):
+        return dataclasses.replace(_stub_solver(pair, *args), device=devices[0])
+
+    def unreachable(pair, *args):
+        return dataclasses.replace(_stub_solver(pair, *args), rate=0.0)
+
+    with pytest.raises(InvalidInputError, match="assigned to more than one server"):
+        run_scheduler(cfg, topo, RadioConfig(), power_solver=duplicate)
+    with pytest.raises(UnreachableDeviceError, match="zero rate"):
+        run_scheduler(cfg, topo, RadioConfig(), power_solver=unreachable)
+
+
+@pytest.mark.parametrize("policy", [Policy.MIN_KL, Policy.NEAREST])
+def test_server_without_candidates_plans_and_traces_nothing(policy):
+    """Emptying one server's pool leaves every other server's plan and trace as
+    they were."""
+    full = _grouped_topology(15, servers=3, per_server=10)
+    emptied = full
+    for u in serviceable_set(1, full):
+        emptied = _with_device(emptied, u, dist=LabelDistribution.zeros(10))
+    assert serviceable_set(1, emptied) == []
+    cfg = SchedulerConfig(gamma=300, target=uniform_target(3, 300, 10), policy=policy)
+    (full_plan, full_trace), (plan, trace) = (
+        run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
+        for topo in (full, emptied)
+    )
+    for server in range(3):
+        pairs = [p for p in plan.pairs() if p[1] == server]
+        if server == 1:
+            assert per_server(full_trace, server)
+            assert pairs == [] and per_server(trace, server) == []
+        else:
+            assert pairs == [p for p in full_plan.pairs() if p[1] == server]
+            assert per_server(trace, server) == per_server(full_trace, server)
+
 
 def test_greedy_beats_random_on_final_kl():
     topo = _grouped_topology(8, servers=4, per_server=20)
@@ -411,12 +454,15 @@ def test_trace_rows_equal_the_per_merge_kl(policy, stop):
     cfg = SchedulerConfig(gamma=400, target=target, policy=policy, stop_at_threshold=stop)
     target_probs = normalize(target)
     for topo in (grouped, uniform):
-        _, trace = run_scheduler(
+        plan, trace = run_scheduler(
             cfg, topo, RadioConfig(), rng=default_rng(3), power_solver=_stub_solver
         )
         for server in range(5):
             rows = per_server(trace, server)
             assert rows and (stop or len(rows) == len(serviceable_set(server, topo)))
+            # a stopped server's trace ends with its last planned pick
+            planned = [u for u, s in plan.pairs() if s == server]
+            assert not stop or [r.device for r in rows] == planned
             held = LabelDistribution.zeros(10)
             for k, row in enumerate(rows, start=1):
                 held = held.merge(topo.device(row.device).dist)

@@ -51,6 +51,17 @@ MUTATIONS = [
         ["tests/test_network.py"],
     ),
     (
+        "distance lookup accepts negative server ids",
+        "src/edgefed/network.py",
+        "        if not (0 <= server_id < len(self.servers)):\n"
+        "            raise UnknownPairError(f\"no server with id {server_id}\")\n"
+        "        return math.dist(",
+        "        if not (server_id < len(self.servers)):\n"
+        "            raise UnknownPairError(f\"no server with id {server_id}\")\n"
+        "        return math.dist(",
+        ["tests/test_network.py"],
+    ),
+    (
         "topology skips the id-position check",
         "src/edgefed/network.py",
         "                if item.id != i:\n",
@@ -69,6 +80,13 @@ MUTATIONS = [
         "src/edgefed/cli.py",
         "        except Exception as exc:  # noqa: BLE001 (a failing scenario",
         "        except () as exc:  # noqa: BLE001 (a failing scenario",
+        ["tests/test_harness.py"],
+    ),
+    (
+        "sweep loads a config outside its try",
+        "src/edgefed/cli.py",
+        "        try:\n            cfg = ScenarioConfig.from_json(path)\n",
+        "        cfg = ScenarioConfig.from_json(path)\n        try:\n",
         ["tests/test_harness.py"],
     ),
     (
@@ -92,6 +110,34 @@ MUTATIONS = [
         "            if not (held + dists[ids[int(np.argmin(scores))]].counts"
         " >= target_counts).all():",
         ["tests/test_scheduler.py"],
+    ),
+    (
+        "plan cut one pick short",
+        "src/edgefed/scheduler.py",
+        "picked[: bisect_left(totals, cfg.gamma) + 1]",
+        "picked[: bisect_left(totals, cfg.gamma)]",
+        ["tests/test_scheduler.py"],
+    ),
+    (
+        "trace KL rows lose their clamp at zero",
+        "src/edgefed/scheduler.py",
+        "np.maximum(np.sum(probs * np.log(probs / q), axis=1), 0.0)",
+        "np.sum(probs * np.log(probs / q), axis=1)",
+        ["tests/test_scheduler.py"],
+    ),
+    (
+        "default start model ignores the eval-set labels",
+        "src/edgefed/federated.py",
+        "    scored = [eval_set] if eval_set is not None and len(eval_set) > 0 else []",
+        "    scored = []",
+        ["tests/test_federated.py"],
+    ),
+    (
+        "averaging adds the server models in reverse order",
+        "src/edgefed/federated.py",
+        "    for k, s in enumerate(sizes):",
+        "    for k, s in reversed(list(enumerate(sizes))):",
+        ["tests/test_federated.py"],
     ),
 ]
 
