@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .federated import ModelParams, PairedRun, loss_and_grad, server_gradients
+from .federated import PairedRun, loss_and_grad
 
 BOUND_SLACK = 1e-9
 
@@ -128,29 +128,6 @@ def drift_bound(
     return prev + phi * acc / total
 
 
-def measure_gradient_divergences(
-    snapshots: Sequence[ModelParams], server_datasets: Sequence[Dataset]
-) -> np.ndarray:
-    """Per-snapshot, per-server gradient divergences against the pooled data.
-
-    Entry (i, s) is the distance between ``loss_and_grad``'s gradients on
-    server s and on the union, both at snapshot i. A snapshot costs one pass
-    over the union plus one stacked pass that takes every server's gradient
-    at once: 2N rows for a union of N samples.
-
-    Returns a matrix of shape (len(snapshots), num_servers).
-    """
-    if len(server_datasets) == 0:
-        raise InvalidInputError("need at least one server dataset")
-    union = Dataset.concat(list(server_datasets))
-    out = np.empty((len(snapshots), len(server_datasets)))
-    per_snapshot = server_gradients(snapshots, server_datasets)
-    for i, (w, grads) in enumerate(zip(snapshots, per_snapshot)):
-        _, g_global = loss_and_grad(w, union)
-        out[i] = [g.distance(g_global) for g in grads]
-    return out
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One audited round: measured gap versus the drift bound."""
@@ -194,8 +171,11 @@ def audit_drift_bound(
     """Check the drift bound against a paired run, round by round.
 
     The divergence level entering round t is the running maximum of the
-    per-server gradient divergences measured at the start-of-round models of
-    the heterogeneous (left) trajectory. The smoothness constants come from
+    per-server gradient divergences at the start-of-round models of the
+    heterogeneous (left) trajectory. Server s's divergence at a snapshot is
+    the distance between its gradient there, which ``paired.gradients``
+    holds, and the ``loss_and_grad`` gradient on the union of the server
+    datasets, one pooled pass per snapshot. The smoothness constants come from
     :func:`lipschitz_bound` over the same datasets. The bound accumulates
     through the recurrence in :func:`drift_bound`; a round holds when the
     measured gap does not exceed the bound beyond a small slack.
@@ -211,15 +191,21 @@ def audit_drift_bound(
         raise InvalidComparisonError("trajectory snapshots do not match round count")
     if len(server_datasets) == 0:
         raise InvalidInputError("need the heterogeneous server datasets")
+    if len(paired.gradients) != rounds:
+        raise InvalidComparisonError("server gradients do not match round count")
+    if any(len(grads) != len(server_datasets) for grads in paired.gradients):
+        raise InvalidComparisonError("need one server gradient per server dataset")
     smoothness = lipschitz_bound(server_datasets)
-    gammas = measure_gradient_divergences(paired.left_params[:rounds], server_datasets)
+    union = Dataset.concat(list(server_datasets))
     phi = paired.cfg.phi
     sizes = smoothness.sizes
     running = np.zeros(len(server_datasets))
     bound = 0.0
     checks = []
     for t in range(1, rounds + 1):
-        running = np.maximum(running, gammas[t - 1])
+        _, pooled = loss_and_grad(paired.left_params[t - 1], union)
+        gammas = [g.distance(pooled) for g in paired.gradients[t - 1]]
+        running = np.maximum(running, gammas)
         bound = float(
             drift_bound(bound, phi, sizes, running, smoothness.per_server, t)
         )

@@ -261,29 +261,21 @@ def _step_stacks(datasets: Sequence[Dataset], stack: _Stack, cfg: TrainConfig, r
 
 
 def _local_steps(weights: np.ndarray, bias: np.ndarray, stacks, phi: float):
-    """Gradient steps for every server of the stacks at once, one per stack."""
+    """Gradient steps for every server of the stacks at once, one per stack.
+
+    Returns the stepped weights and biases, and the first step's stacked
+    weight and bias gradients, which are taken at the start models.
+    """
+    first = None
     for stack in stacks:
         _, grad_w, grad_b = _softmax_pass(weights, bias, stack)
+        if first is None:
+            first = grad_w, grad_b
         weights = weights - phi * grad_w
         bias = bias - phi * grad_b
     if not np.all(np.isfinite(weights)):
         raise NumericalFailureError("local update diverged")
-    return weights, bias
-
-
-def server_gradients(snapshots: Sequence[ModelParams], datasets: Sequence[Dataset]):
-    """Yield, per snapshot, each dataset's ``loss_and_grad`` gradient there.
-
-    One stacked pass per snapshot covers every dataset.
-    """
-    if len(snapshots) == 0:
-        return
-    stack = _Stack(datasets, snapshots[0].num_classes)
-    for w in snapshots:
-        _, grad_w, grad_b = _softmax_pass(
-            np.stack([w.weights] * len(datasets)), np.stack([w.bias] * len(datasets)), stack
-        )
-        yield [ModelParams(w, b) for w, b in zip(grad_w, grad_b)]
+    return weights, bias, first
 
 
 def local_update(
@@ -302,7 +294,7 @@ def local_update(
     """
     stack = _Stack([dataset], params.num_classes)
     steps = _step_stacks([dataset], stack, cfg, rng)
-    weights, bias = _local_steps(params.weights[None], params.bias[None], steps, cfg.phi)
+    weights, bias, _ = _local_steps(params.weights[None], params.bias[None], steps, cfg.phi)
     return ModelParams(weights[0], bias[0])
 
 
@@ -336,16 +328,17 @@ def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParam
 
 
 def _rounds(datasets, stack: _Stack, starts, cfg: TrainConfig, rng):
-    """Yield each round's stacked local models and each arm's ``_average``.
+    """Yield each round's stacked local models, first-step gradients and averages.
 
     The datasets split, in order, into one equal arm per model of ``starts``.
     All arms train side by side in ``stack``, and every server of an arm
-    starts each round from its arm's last average.
+    starts each round from its arm's last average. The gradients are those
+    of the round's first local step, and each arm has one ``_average``.
     """
     current = tuple(starts)
     n = len(datasets) // len(current)
     for _ in range(cfg.rounds):
-        weights, bias = _local_steps(
+        weights, bias, first = _local_steps(
             np.stack([m.weights for m in current for _ in range(n)]),
             np.stack([m.bias for m in current for _ in range(n)]),
             _step_stacks(datasets, stack, cfg, rng),
@@ -355,7 +348,21 @@ def _rounds(datasets, stack: _Stack, starts, cfg: TrainConfig, rng):
             _average(weights[a : a + n], bias[a : a + n], stack.sizes[a : a + n])
             for a in range(0, len(datasets), n)
         )
-        yield weights, bias, current
+        yield weights, bias, first, current
+
+
+def _round_metrics(t: int, weights, bias, stack: _Stack, model: ModelParams, eval_set):
+    """Round t's ``RoundMetrics`` for stacked local models and their average.
+
+    The loss is the size-weighted mean of each local model's loss on its
+    dataset of ``stack``. The accuracy is ``model``'s on ``eval_set``, or
+    NaN without one.
+    """
+    per_server = _softmax_pass(weights, bias, stack, grads=False).tolist()
+    total = float(sum(stack.sizes))
+    g_loss = float(sum((s / total) * l for s, l in zip(stack.sizes, per_server)))
+    acc = evaluate_accuracy(model, eval_set) if eval_set is not None else float("nan")
+    return RoundMetrics(round=t, global_loss=g_loss, accuracy=acc)
 
 
 def _start_model(datasets, init: ModelParams | None, eval_set=None) -> ModelParams:
@@ -394,14 +401,10 @@ def run_fl(
     """
     current = _start_model(server_datasets, init, eval_set)
     stack = _Stack(server_datasets, current.num_classes)
-    total = float(sum(stack.sizes))
     metrics = []
     rounds = _rounds(server_datasets, stack, [current], cfg, rng)
-    for t, (weights, bias, (current,)) in enumerate(rounds, 1):
-        per_server = _softmax_pass(weights, bias, stack, grads=False).tolist()
-        g_loss = float(sum((s / total) * l for s, l in zip(stack.sizes, per_server)))
-        acc = evaluate_accuracy(current, eval_set) if eval_set is not None else float("nan")
-        metrics.append(RoundMetrics(round=t, global_loss=g_loss, accuracy=acc))
+    for t, (weights, bias, _, (current,)) in enumerate(rounds, 1):
+        metrics.append(_round_metrics(t, weights, bias, stack, current, eval_set))
     return metrics, current
 
 
@@ -433,13 +436,18 @@ class PairedRun:
 
     ``left_params``/``right_params`` hold T+1 snapshots each (index 0 is the
     shared initialisation). ``distances[t-1]`` is the parameter distance
-    after round t.
+    after round t. ``metrics`` holds the left run's ``RoundMetrics``, by the
+    rule ``run_fl`` uses. ``gradients[t]`` holds, per left server, the
+    ``loss_and_grad`` gradient at snapshot ``left_params[t]``, for t < T:
+    the gradient that the server's first local step of round t+1 took.
     """
 
     left_params: tuple
     right_params: tuple
     distances: tuple
     cfg: TrainConfig
+    metrics: tuple
+    gradients: tuple
 
 
 def run_paired(
@@ -447,12 +455,15 @@ def run_paired(
     right_datasets: Sequence[Dataset],
     cfg: TrainConfig,
     init: ModelParams | None = None,
+    eval_set: Dataset | None = None,
 ) -> PairedRun:
     """Train two server populations in lock step and record their gap.
 
     Both populations must have the same server count and the same per-server
     sizes so the aggregation weights coincide. Training is full batch to keep
-    the two trajectories free of sampling noise.
+    the two trajectories free of sampling noise, so the left run is
+    ``run_fl(left_datasets, cfg, eval_set, init)`` bit for bit, and its
+    metrics score accuracy on ``eval_set`` as that call would.
     """
     if len(left_datasets) != len(right_datasets):
         raise InvalidComparisonError("paired runs need equal server counts")
@@ -462,9 +473,16 @@ def run_paired(
     if cfg.batch_size is not None:
         raise InvalidComparisonError("paired runs are full batch only")
     both = [*left_datasets, *right_datasets]
-    start = _start_model(both, init)
+    start = _start_model(both, init, eval_set)
+    n = len(left_datasets)
+    left_stack = _Stack(left_datasets, start.num_classes)
     # Both arms train side by side in one stack: left servers, then right.
     rounds = _rounds(both, _Stack(both, start.num_classes), [start, start], cfg, None)
-    arms = [(start, start), *(models for _, _, models in rounds)]
+    arms, metrics, gradients = [(start, start)], [], []
+    for t, (weights, bias, (grad_w, grad_b), models) in enumerate(rounds, 1):
+        arms.append(models)
+        metrics.append(_round_metrics(t, weights[:n], bias[:n], left_stack, models[0], eval_set))
+        gradients.append(tuple(ModelParams(w, b) for w, b in zip(grad_w[:n], grad_b[:n])))
     left, right = (tuple(arm) for arm in zip(*arms))
-    return PairedRun(left, right, tuple(w.distance(v) for w, v in arms[1:]), cfg)
+    distances = tuple(w.distance(v) for w, v in arms[1:])
+    return PairedRun(left, right, distances, cfg, tuple(metrics), tuple(gradients))

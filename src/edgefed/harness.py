@@ -338,14 +338,22 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
     eval_set = evaluation_set(cfg)
     # Training and the audit's paired run start from one model over every class.
     init = ModelParams.zeros(cfg.data.num_classes, cfg.data.feat_dim)
-    metrics, _ = run_fl(
-        server_data, cfg.train, eval_set, init=init, rng=substream(cfg.seed, "training")
-    )
+    # The paired run trains full batch, so with full-batch training its left
+    # arm is run_fl's trajectory bit for bit and supplies the metrics.
+    trains_once = cfg.audit and cfg.train.batch_size is None
+    if not trains_once:
+        metrics, _ = run_fl(
+            server_data, cfg.train, eval_set, init=init, rng=substream(cfg.seed, "training")
+        )
     report = None
     if cfg.audit:
         twin = iid_counterpart(server_data, substream(cfg.seed, "iid"))
-        paired = run_paired(server_data, twin, replace(cfg.train, batch_size=None), init=init)
+        paired = run_paired(
+            server_data, twin, replace(cfg.train, batch_size=None), init=init, eval_set=eval_set
+        )
         report = audit_drift_bound(paired, server_data)
+        if trains_once:
+            metrics = paired.metrics
     return ResultsBundle(
         config=cfg.to_dict(),
         topology=topo,

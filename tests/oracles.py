@@ -5,13 +5,13 @@ bulk, or a reading of its outputs that no artifact needs.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from edgefed.distributions import Dataset, LabelDistribution
-from edgefed.errors import InvalidParameterError
-from edgefed.federated import ModelParams, loss_and_grad
+from edgefed.errors import InvalidInputError, InvalidParameterError
+from edgefed.federated import ModelParams, _softmax_pass, _Stack, loss_and_grad
 from edgefed.network import RadioConfig, SubcarrierMap, Topology, effective_interference
 from edgefed.power import PairParams, _pair_params, objective
 from edgefed.scheduler import OffloadTrace
@@ -29,6 +29,43 @@ def gradient_divergence(
     _, g_global = loss_and_grad(params, global_data)
     return g_server.distance(g_global)
 
+
+def server_gradients(snapshots: Sequence[ModelParams], datasets: Sequence[Dataset]):
+    """Yield, per snapshot, each dataset's ``loss_and_grad`` gradient there.
+
+    One stacked pass per snapshot covers every dataset.
+    """
+    if len(snapshots) == 0:
+        return
+    stack = _Stack(datasets, snapshots[0].num_classes)
+    for w in snapshots:
+        _, grad_w, grad_b = _softmax_pass(
+            np.stack([w.weights] * len(datasets)), np.stack([w.bias] * len(datasets)), stack
+        )
+        yield [ModelParams(w, b) for w, b in zip(grad_w, grad_b)]
+
+
+def measure_gradient_divergences(
+    snapshots: Sequence[ModelParams], server_datasets: Sequence[Dataset]
+) -> np.ndarray:
+    """Per-snapshot, per-server gradient divergences against the pooled data.
+
+    Entry (i, s) is the distance between ``loss_and_grad``'s gradients on
+    server s and on the union, both at snapshot i. A snapshot costs one pass
+    over the union plus one stacked pass that takes every server's gradient
+    at once: 2N rows for a union of N samples.
+
+    Returns a matrix of shape (len(snapshots), num_servers).
+    """
+    if len(server_datasets) == 0:
+        raise InvalidInputError("need at least one server dataset")
+    union = Dataset.concat(list(server_datasets))
+    out = np.empty((len(snapshots), len(server_datasets)))
+    per_snapshot = server_gradients(snapshots, server_datasets)
+    for i, (w, grads) in enumerate(zip(snapshots, per_snapshot)):
+        _, g_global = loss_and_grad(w, union)
+        out[i] = [g.distance(g_global) for g in grads]
+    return out
 
 def per_server(trace: OffloadTrace, server_id: int) -> list:
     return [r for r in trace.rows if r.server == server_id]

@@ -7,7 +7,6 @@ exists (grid search for the power solver, finite differences for gradients,
 replayed byte comparisons for determinism).
 """
 
-import json
 import math
 import time
 

@@ -22,7 +22,6 @@ from edgefed.divergence import (
     drift_bound,
     kl,
     lipschitz_bound,
-    measure_gradient_divergences,
 )
 from edgefed.errors import (
     DimensionMismatchError,
@@ -39,7 +38,7 @@ from edgefed.federated import (
     run_paired,
 )
 
-from oracles import gradient_divergence, label_histogram
+from oracles import gradient_divergence, label_histogram, measure_gradient_divergences
 
 
 def _pv(values) -> ProbabilityVector:
@@ -303,6 +302,13 @@ def test_audit_rejects_incomparable_runs():
         audit_drift_bound(extra, parts)
     with pytest.raises(InvalidInputError, match="heterogeneous server datasets"):
         audit_drift_bound(paired, [])
+    fewer = dataclasses.replace(paired, gradients=paired.gradients[:-1])
+    with pytest.raises(InvalidComparisonError, match="gradients do not match round count"):
+        audit_drift_bound(fewer, parts)
+    g = paired.gradients
+    narrower = dataclasses.replace(paired, gradients=(g[0], g[1][:-1], *g[2:]))
+    with pytest.raises(InvalidComparisonError, match="one server gradient per server dataset"):
+        audit_drift_bound(narrower, parts)
 
 
 def test_audit_report_serialises():

@@ -11,7 +11,6 @@ from numpy.random import default_rng
 from edgefed import federated
 from edgefed.distributions import (
     Dataset,
-    LabelDistribution,
     materialize,
     separated_feature_model,
     uniform_distribution,
@@ -35,11 +34,10 @@ from edgefed.federated import (
     loss_and_grad,
     run_fl,
     run_paired,
-    server_gradients,
 )
 from edgefed.rng import substream
 
-from oracles import flatten
+from oracles import flatten, server_gradients
 
 
 def _dataset(seed, n=60, num_classes=4, dim=6, separation=6.0):
@@ -290,6 +288,36 @@ def test_run_fl_equals_per_server_updates_in_small_chunks(batch_size, chunk_colu
 def test_run_paired_equals_per_server_updates_in_small_chunks(chunk_columns, monkeypatch):
     monkeypatch.setattr(federated, "_CHUNK_COLUMNS", chunk_columns)
     test_run_paired_equals_per_server_updates()
+
+
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_paired_metrics_and_gradients_come_from_the_left_run(local_steps):
+    left = _unequal_servers()
+    right = iid_counterpart(left, default_rng(76))
+    eval_set = Dataset(default_rng(72).normal(size=(50, 6)), default_rng(73).integers(0, 10, 50))
+    cfg = TrainConfig(phi=0.1, local_steps=local_steps, rounds=4)
+    paired = run_paired(left, right, cfg, eval_set=eval_set)
+    metrics, final = run_fl(left, cfg, eval_set)
+    assert paired.metrics == tuple(metrics)
+    assert np.array_equal(paired.left_params[-1].weights, final.weights)
+    assert np.array_equal(paired.left_params[-1].bias, final.bias)
+    # Each round's first local step takes the gradients at its start model.
+    assert len(paired.gradients) == cfg.rounds
+    oracle = server_gradients(paired.left_params[: cfg.rounds], left)
+    for t, (got, ref) in enumerate(zip(paired.gradients, oracle)):
+        assert len(got) == len(ref) == len(left)
+        for s, (g, r) in enumerate(zip(got, ref)):
+            assert np.array_equal(g.weights, r.weights), (t, s)
+            assert np.array_equal(g.bias, r.bias), (t, s)
+
+
+@pytest.mark.parametrize("chunk_columns", sorted(SMALL_CHUNKS))
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_paired_metrics_and_gradients_come_from_the_left_run_in_small_chunks(
+    local_steps, chunk_columns, monkeypatch
+):
+    monkeypatch.setattr(federated, "_CHUNK_COLUMNS", chunk_columns)
+    test_paired_metrics_and_gradients_come_from_the_left_run(local_steps)
 
 
 def test_pass_working_set_is_bounded_by_the_chunk():

@@ -5,13 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.random import default_rng
 
 from edgefed import harness
 from edgefed.cli import main
 from edgefed.distributions import DirichletProfile, GroupedProfile
 from edgefed.errors import SimulationError
-from edgefed.federated import TrainConfig
+from edgefed.federated import ModelParams, TrainConfig, run_fl
 from edgefed.harness import (
     DataParams,
     ScenarioConfig,
@@ -345,21 +344,50 @@ def test_training_and_the_audit_start_from_one_model(monkeypatch):
         ),
         train=TrainConfig(local_steps=3, rounds=5),
     )
-    calls = {}
-    for name in ("run_fl", "run_paired"):
+    calls = []
 
-        def record(*args, _name=name, _run=getattr(harness, name), **kwargs):
-            calls[_name] = (args, _run(*args, **kwargs))
-            return calls[_name][1]
+    def record(*args, _run=harness.run_paired, **kwargs):
+        calls.append((args, _run(*args, **kwargs)))
+        return calls[-1][1]
 
-        monkeypatch.setattr(harness, name, record)
+    monkeypatch.setattr(harness, "run_paired", record)
     bundle = run_scenario(cfg)
-    (server_data, *_), (_, trained) = calls["run_fl"]
+    [((server_data, *_), paired)] = calls
     assert max(int(d.labels.max()) for d in server_data) == 7
-    audited = calls["run_paired"][1].left_params[-1]
+    init = ModelParams.zeros(cfg.data.num_classes, cfg.data.feat_dim)
+    _, trained = run_fl(server_data, cfg.train, evaluation_set(cfg), init=init)
+    audited = paired.left_params[-1]
     assert trained.num_classes == audited.num_classes == 10
     assert (audited.weights == trained.weights).all()
     assert (audited.bias == trained.bias).all()
+    assert bundle.audit.all_hold
+
+
+@pytest.mark.parametrize("batch_size", [None, 8])
+def test_audited_metrics_equal_a_standalone_run_fl(batch_size, monkeypatch):
+    # Full batch, the paired run's left arm is the training run and run_fl is
+    # not called; with minibatches run_fl still trains on its own substream.
+    cfg = _tiny_config(
+        seed=4, train=TrainConfig(phi=0.05, local_steps=3, rounds=4, batch_size=batch_size)
+    )
+    calls = []
+    for name in ("run_fl", "run_paired"):
+
+        def record(*args, _name=name, _run=getattr(harness, name), **kwargs):
+            calls.append(_name)
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, record)
+    bundle = run_scenario(cfg)
+    assert calls == (["run_paired"] if batch_size is None else ["run_fl", "run_paired"])
+    server_data = server_datasets_from_plan(cfg, bundle.topology, bundle.plan)
+    assert batch_size is None or min(map(len, server_data)) > batch_size
+    init = ModelParams.zeros(cfg.data.num_classes, cfg.data.feat_dim)
+    metrics, _ = run_fl(
+        server_data, cfg.train, evaluation_set(cfg), init=init, rng=substream(cfg.seed, "training")
+    )
+    assert len(metrics) == cfg.train.rounds
+    assert bundle.metrics == tuple(metrics)
     assert bundle.audit.all_hold
 
 
@@ -580,13 +608,19 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
     tracer.install(counters=True)
     try:
         # Called through the module, as the benchmark does, so the wrappers apply.
+        # An audited full-batch run trains only in the paired run, so an
+        # unaudited run fires the training span; the counts below are the
+        # audited run's alone.
+        harness.run_scenario(_tiny_config(seed=5, audit=False))
+        fired = set(tracer.total)
+        tracer.reset()
         cfg = _tiny_config(seed=5)
         bundle = harness.run_scenario(cfg)
         harness.emit(bundle, tmp_path)
     finally:
         tracer.remove()
     # Read before layer_metrics, whose lookups insert every span name.
-    fired = set(tracer.total)
+    fired |= set(tracer.total)
     layers = tracer.layer_metrics(1.0)
     assert set(layers) | {"power.energy_j", "trace.run_s", "trace.overhead_s"} == set(
         tracing.LAYER_UNITS

@@ -13,7 +13,6 @@ from edgefed.distributions import (
     generate_clients,
     normalize,
     smoothed_rows,
-    uniform_distribution,
 )
 from edgefed.divergence import complement, kl
 from edgefed.errors import (

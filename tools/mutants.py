@@ -139,6 +139,27 @@ MUTATIONS = [
         "    for k, s in reversed(list(enumerate(sizes))):",
         ["tests/test_federated.py"],
     ),
+    (
+        "minibatch audited runs take their metrics from the paired run",
+        "src/edgefed/harness.py",
+        "    trains_once = cfg.audit and cfg.train.batch_size is None\n",
+        "    trains_once = cfg.audit\n",
+        ["tests/test_harness.py"],
+    ),
+    (
+        "paired gradients come from the last local step",
+        "src/edgefed/federated.py",
+        "        if first is None:\n            first = grad_w, grad_b\n",
+        "        first = grad_w, grad_b\n",
+        ["tests/test_federated.py"],
+    ),
+    (
+        "paired metrics score the right arm",
+        "src/edgefed/federated.py",
+        "_round_metrics(t, weights[:n], bias[:n], left_stack, models[0], eval_set)",
+        "_round_metrics(t, weights[n:], bias[n:], left_stack, models[1], eval_set)",
+        ["tests/test_federated.py", "tests/test_harness.py"],
+    ),
 ]
 
 
