@@ -70,20 +70,6 @@ class LabelDistribution:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def merge(self, other: "LabelDistribution") -> "LabelDistribution":
-        """Elementwise sum of two histograms over the same class set."""
-        if other.num_classes != self.num_classes:
-            raise DimensionMismatchError(
-                f"cannot merge histograms over {self.num_classes} and "
-                f"{other.num_classes} classes"
-            )
-        return LabelDistribution(self.counts + other.counts)
-
-    @staticmethod
-    def zeros(num_classes: int) -> "LabelDistribution":
-        # A list, not np.zeros, so a negative count meets the constructor's check.
-        return LabelDistribution([0] * num_classes)
-
 
 @dataclass(frozen=True)
 class ProbabilityVector:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Dataset, LabelDistribution, ProbabilityVector
+from .distributions import Dataset, ProbabilityVector
 from .errors import (
     DimensionMismatchError,
     InvalidComparisonError,
@@ -48,16 +48,6 @@ def kl(p: ProbabilityVector, q: ProbabilityVector) -> float:
     mask = pp > 0.0
     value = float(np.sum(pp[mask] * np.log(pp[mask] / qp[mask])))
     return max(value, 0.0)
-
-
-def complement(target: LabelDistribution, server: LabelDistribution) -> LabelDistribution:
-    """Remaining per-class demand of a server against a global target.
-
-    Classes the server already holds in excess contribute zero demand.
-    """
-    if target.num_classes != server.num_classes:
-        raise DimensionMismatchError("target and server class counts differ")
-    return LabelDistribution(np.maximum(target.counts - server.counts, 0))
 
 
 @dataclass(frozen=True)

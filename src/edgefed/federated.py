@@ -312,21 +312,6 @@ def _average(weights: np.ndarray, bias: np.ndarray, sizes: Sequence[int]) -> Mod
     return ModelParams(w, b)
 
 
-def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParams:
-    """Data-size weighted average of server models."""
-    if len(models) == 0:
-        raise InvalidInputError("nothing to aggregate")
-    if len(models) != len(sizes):
-        raise DimensionMismatchError("one size per model required")
-    if float(sum(sizes)) <= 0:
-        raise InvalidInputError("total data size must be positive")
-    if any(m.weights.shape != models[0].weights.shape for m in models):
-        raise DimensionMismatchError("models disagree on parameter shape")
-    return _average(
-        np.stack([m.weights for m in models]), np.stack([m.bias for m in models]), sizes
-    )
-
-
 def _rounds(datasets, stack: _Stack, starts, cfg: TrainConfig, rng):
     """Yield each round's stacked local models, first-step gradients and averages.
 

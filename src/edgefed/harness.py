@@ -348,8 +348,10 @@ def run_scenario(cfg: ScenarioConfig) -> ResultsBundle:
     report = None
     if cfg.audit:
         twin = iid_counterpart(server_data, substream(cfg.seed, "iid"))
+        # Only a run that keeps the paired metrics scores the eval set.
+        scored = eval_set if trains_once else None
         paired = run_paired(
-            server_data, twin, replace(cfg.train, batch_size=None), init=init, eval_set=eval_set
+            server_data, twin, replace(cfg.train, batch_size=None), init=init, eval_set=scored
         )
         report = audit_drift_bound(paired, server_data)
         if trains_once:

@@ -146,26 +146,29 @@ class Topology:
 
 
 def channel_gain(
-    distance: float,
+    distance: float | np.ndarray,
     exponent: float = 3.0,
     *,
     reference_gain: float = 1e-3,
     reference_distance: float = 1.0,
-) -> float:
+) -> float | np.ndarray:
     """Log-distance path gain; ``place_topology`` draws the fading.
 
     Args:
-        distance: transmitter-receiver separation in metres, positive.
+        distance: transmitter-receiver separation in metres, positive; a
+            float or an array of them.
         exponent: path-loss exponent.
 
     Returns:
-        Linear power gain ``g0 * (d0 / d)^exponent``. Distances inside the
-        reference distance saturate at the reference gain.
+        Linear power gain ``g0 * (d0 / d)^exponent``, elementwise for an
+        array. Distances inside the reference distance saturate at the
+        reference gain.
     """
-    if distance <= 0:
+    if np.any(np.asarray(distance) <= 0):
         raise InvalidParameterError("distance must be positive")
-    d = max(distance, reference_distance)
-    return reference_gain * (reference_distance / d) ** exponent
+    d = np.maximum(distance, reference_distance)
+    # float_power calls C pow as Python's ** does; np.power differs in the last bit.
+    return reference_gain * np.float_power(reference_distance / d, exponent)
 
 
 def _hex_centers(num_servers: int, cell_radius: float) -> list:
@@ -196,9 +199,9 @@ def place_topology(
     Each device is drawn uniformly in its home server's cell disc and
     re-drawn until that server is also its nearest one, so home membership
     and nearest-server membership coincide. Channel gains for every
-    device/server pair are computed once here and frozen: the path loss
-    pair by pair on Python floats, then, after placement, one
-    (devices x servers) block of Exp(1) fading draws multiplied in.
+    device/server pair are computed once here and frozen: one
+    ``channel_gain`` call on the (devices x servers) ``math.dist`` matrix,
+    then, after placement, one block of Exp(1) fading draws multiplied in.
 
     Args:
         params: lattice size, cell radius and channel model; a scenario's
@@ -244,18 +247,15 @@ def place_topology(
                 )
             )
             device_id += 1
-    gains = np.array(
-        [
-            channel_gain(
-                max(math.dist(dev.position, c), params.reference_distance),
-                params.path_loss_exponent,
-                reference_gain=params.reference_gain,
-                reference_distance=params.reference_distance,
-            )
-            for dev in devices
-            for c in centers
-        ]
+    distances = np.array(
+        [math.dist(dev.position, c) for dev in devices for c in centers]
     ).reshape(total_devices, num_servers)
+    gains = channel_gain(
+        distances,
+        params.path_loss_exponent,
+        reference_gain=params.reference_gain,
+        reference_distance=params.reference_distance,
+    )
     if params.fading:
         gains *= rng.exponential(1.0, size=gains.shape)
     return Topology(servers, tuple(devices), gains)
@@ -400,9 +400,6 @@ class OffloadPlan:
 
     def pairs(self) -> list:
         return [(e.device, e.server) for e in self.entries]
-
-    def powers(self) -> dict:
-        return {(e.device, e.server): e.power for e in self.entries}
 
     def to_dict(self) -> dict:
         names = [f.name for f in fields(TransferRecord)]

@@ -133,9 +133,9 @@ def _kl_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _kl_scores(probs: np.ndarray, held: np.ndarray, target_counts: np.ndarray) -> np.ndarray:
     """KL divergence of every row of ``probs`` to the server's remaining demand.
 
-    The demand is the smoothed shortfall of the target counts against the
-    counts the server already holds, ``normalize(complement(target, held))``
-    bit for bit. Each entry equals ``kl(row, demand)`` bit for bit.
+    The demand is the server's shortfall ``max(target - held, 0)``, smoothed
+    as ``normalize`` smooths a histogram. Each entry equals
+    ``kl(row, demand)`` bit for bit.
     """
     demand = smoothed_rows(np.maximum(target_counts - held, 0)[None])[0]
     return _kl_rows(probs, demand)

@@ -10,11 +10,61 @@ from typing import Callable, Sequence
 import numpy as np
 
 from edgefed.distributions import Dataset, LabelDistribution
-from edgefed.errors import InvalidInputError, InvalidParameterError
-from edgefed.federated import ModelParams, _softmax_pass, _Stack, loss_and_grad
-from edgefed.network import RadioConfig, SubcarrierMap, Topology, effective_interference
+from edgefed.errors import DimensionMismatchError, InvalidInputError, InvalidParameterError
+from edgefed.federated import ModelParams, _average, _softmax_pass, _Stack, loss_and_grad
+from edgefed.network import (
+    OffloadPlan,
+    RadioConfig,
+    SubcarrierMap,
+    Topology,
+    effective_interference,
+)
 from edgefed.power import PairParams, _pair_params, objective
 from edgefed.scheduler import OffloadTrace
+
+
+def merge(dist: LabelDistribution, other: LabelDistribution) -> LabelDistribution:
+    """Elementwise sum of two histograms over the same class set."""
+    if other.num_classes != dist.num_classes:
+        raise DimensionMismatchError(
+            f"cannot merge histograms over {dist.num_classes} and "
+            f"{other.num_classes} classes"
+        )
+    return LabelDistribution(dist.counts + other.counts)
+
+
+def zeros(num_classes: int) -> LabelDistribution:
+    # A list, not np.zeros, so a negative count meets the constructor's check.
+    return LabelDistribution([0] * num_classes)
+
+
+def complement(target: LabelDistribution, server: LabelDistribution) -> LabelDistribution:
+    """Remaining per-class demand of a server against a global target.
+
+    Classes the server already holds in excess contribute zero demand.
+    """
+    if target.num_classes != server.num_classes:
+        raise DimensionMismatchError("target and server class counts differ")
+    return LabelDistribution(np.maximum(target.counts - server.counts, 0))
+
+
+def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParams:
+    """Data-size weighted average of server models."""
+    if len(models) == 0:
+        raise InvalidInputError("nothing to aggregate")
+    if len(models) != len(sizes):
+        raise DimensionMismatchError("one size per model required")
+    if float(sum(sizes)) <= 0:
+        raise InvalidInputError("total data size must be positive")
+    if any(m.weights.shape != models[0].weights.shape for m in models):
+        raise DimensionMismatchError("models disagree on parameter shape")
+    return _average(
+        np.stack([m.weights for m in models]), np.stack([m.bias for m in models]), sizes
+    )
+
+
+def powers(plan: OffloadPlan) -> dict:
+    return {(e.device, e.server): e.power for e in plan.entries}
 
 
 def gradient_divergence(

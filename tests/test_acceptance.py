@@ -28,7 +28,6 @@ from edgefed.divergence import audit_drift_bound, kl
 from edgefed.federated import (
     ModelParams,
     TrainConfig,
-    aggregate,
     iid_counterpart,
     local_update,
     loss_and_grad,
@@ -54,6 +53,7 @@ from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
 from oracles import (
+    aggregate,
     flatten,
     gradient_divergence,
     label_histogram,

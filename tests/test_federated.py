@@ -27,7 +27,6 @@ from edgefed.federated import (
     _softmax_pass,
     _Stack,
     TrainConfig,
-    aggregate,
     evaluate_accuracy,
     iid_counterpart,
     local_update,
@@ -37,7 +36,7 @@ from edgefed.federated import (
 )
 from edgefed.rng import substream
 
-from oracles import flatten, server_gradients
+from oracles import aggregate, flatten, server_gradients
 
 
 def _dataset(seed, n=60, num_classes=4, dim=6, separation=6.0):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgefed import harness
+from edgefed import federated, harness
 from edgefed.cli import main
 from edgefed.distributions import DirichletProfile, GroupedProfile
 from edgefed.errors import SimulationError
@@ -30,7 +30,7 @@ from edgefed.network import assign_subcarriers, system_cost
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
-from oracles import label_histogram
+from oracles import label_histogram, powers
 
 
 def _tiny_config(seed=1, **overrides):
@@ -329,7 +329,7 @@ def test_run_scenario_cost_is_reproducible(tiny_bundle):
     cfg = _tiny_config(seed=5)
     _, topo = build_population(cfg)
     smap = assign_subcarriers(b.plan.pairs(), cfg.radio.subcarriers)
-    again = system_cost(b.plan, b.plan.powers(), topo, cfg.radio, smap)
+    again = system_cost(b.plan, powers(b.plan), topo, cfg.radio, smap)
     assert again == b.cost_joules
 
 
@@ -366,20 +366,29 @@ def test_training_and_the_audit_start_from_one_model(monkeypatch):
 @pytest.mark.parametrize("batch_size", [None, 8])
 def test_audited_metrics_equal_a_standalone_run_fl(batch_size, monkeypatch):
     # Full batch, the paired run's left arm is the training run and run_fl is
-    # not called; with minibatches run_fl still trains on its own substream.
+    # not called; with minibatches run_fl still trains on its own substream,
+    # and only run_fl scores the eval set.
     cfg = _tiny_config(
         seed=4, train=TrainConfig(phi=0.05, local_steps=3, rounds=4, batch_size=batch_size)
     )
     calls = []
-    for name in ("run_fl", "run_paired"):
+    for module, name in (
+        (harness, "run_fl"),
+        (harness, "run_paired"),
+        (federated, "evaluate_accuracy"),
+    ):
 
-        def record(*args, _name=name, _run=getattr(harness, name), **kwargs):
+        def record(*args, _name=name, _run=getattr(module, name), **kwargs):
             calls.append(_name)
             return _run(*args, **kwargs)
 
-        monkeypatch.setattr(harness, name, record)
+        monkeypatch.setattr(module, name, record)
     bundle = run_scenario(cfg)
-    assert calls == (["run_paired"] if batch_size is None else ["run_fl", "run_paired"])
+    scored = ["evaluate_accuracy"] * cfg.train.rounds
+    if batch_size is None:
+        assert calls == ["run_paired", *scored]
+    else:
+        assert calls == ["run_fl", *scored, "run_paired"]
     server_data = server_datasets_from_plan(cfg, bundle.topology, bundle.plan)
     assert batch_size is None or min(map(len, server_data)) > batch_size
     init = ModelParams.zeros(cfg.data.num_classes, cfg.data.feat_dim)

@@ -234,6 +234,30 @@ def test_placement_fading_is_unit_mean():
 def test_channel_gain_validation():
     with pytest.raises(InvalidParameterError):
         channel_gain(0.0, 3.0)
+    # one non-positive entry rejects the whole array
+    for bad in (0.0, -1.0):
+        with pytest.raises(InvalidParameterError, match="distance must be positive"):
+            channel_gain(np.array([[5.0, 12.0], [bad, 40.0]]), 3.0)
+
+
+@pytest.mark.parametrize("exponent", [3.0, 2.7])
+def test_channel_gain_on_an_array_equals_the_scalar_call(exponent):
+    kw = dict(reference_gain=2e-3, reference_distance=4.0)
+    # inside, at and just past the reference distance, then a spread of links
+    grid = np.concatenate(
+        [
+            [0.25, 1.0, 3.999, 4.0, 4.000001],
+            np.geomspace(4.0, 2500.0, 400),
+            default_rng(8).uniform(0.01, 2500.0, 595),
+        ]
+    ).reshape(40, 25)
+    gains = channel_gain(grid, exponent, **kw)
+    assert gains.shape == grid.shape
+    g0, d0 = kw["reference_gain"], kw["reference_distance"]
+    for d, g in zip(grid.ravel().tolist(), gains.ravel().tolist()):
+        # the Python-float rule: np.power differs from ``**`` on ~5% of these
+        assert g == channel_gain(d, exponent, **kw) == g0 * (d0 / max(d, d0)) ** exponent
+    assert (gains.ravel()[:4] == g0).all()
 
 
 # --------------------------------------------------------------- subcarriers

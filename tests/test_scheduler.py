@@ -14,7 +14,7 @@ from edgefed.distributions import (
     normalize,
     smoothed_rows,
 )
-from edgefed.divergence import complement, kl
+from edgefed.divergence import kl
 from edgefed.errors import (
     DimensionMismatchError,
     InvalidInputError,
@@ -27,12 +27,20 @@ from edgefed.scheduler import (
     SchedulerConfig,
     _kl_scores,
     _min_kl_picker,
+    _nearest_picker,
     run_scheduler,
     serviceable_set,
     uniform_target,
 )
 
-from oracles import mean_kl_by_round, per_server, rounds_to_threshold
+from oracles import (
+    complement,
+    mean_kl_by_round,
+    merge,
+    per_server,
+    rounds_to_threshold,
+    zeros,
+)
 
 
 def _stub_solver(pair, smap, topo, radio):
@@ -105,7 +113,7 @@ def test_serviceable_set_filters():
     assert all(topo.device(u).home_server == 0 for u in home0)
     # devices without samples are never candidates
     dists = [d.dist for d in topo.devices]
-    dists[home0[0]] = LabelDistribution.zeros(dists[0].num_classes)
+    dists[home0[0]] = zeros(dists[0].num_classes)
     layout = TopologyParams(num_servers=2, devices_per_server=5, cell_radius=400.0)
     emptied = place_topology(layout, default_rng(4), dists=dists)
     assert serviceable_set(0, emptied) == home0[1:]
@@ -149,7 +157,7 @@ def _assert_scores_match_oracle(candidates, dists, server, target):
 def test_min_kl_tie_goes_to_lower_id():
     target = uniform_target(1, 100, 2)
     dists = {5: LabelDistribution([10, 10]), 2: LabelDistribution([10, 10])}
-    assert _min_kl_pick([5, 2], dists, LabelDistribution.zeros(2), target) == 2
+    assert _min_kl_pick([5, 2], dists, zeros(2), target) == 2
 
     # identical histograms among worse ones: the lowest id of the pair wins
     target = uniform_target(1, 600, 4)
@@ -167,7 +175,7 @@ def test_min_kl_tie_goes_to_lower_id():
     # a copy of the demand scores exactly 0; twice the demand rounds to a
     # slightly negative sum that the clamp also sends to 0, so the two tie
     target = uniform_target(1, 100, 6)
-    server = LabelDistribution.zeros(6)
+    server = zeros(6)
     dists = {
         3: LabelDistribution(target.counts * 2),
         8: LabelDistribution(target.counts),
@@ -312,7 +320,7 @@ def test_server_without_candidates_plans_and_traces_nothing(policy):
     full = _grouped_topology(15, servers=3, per_server=10)
     emptied = full
     for u in serviceable_set(1, full):
-        emptied = _with_device(emptied, u, dist=LabelDistribution.zeros(10))
+        emptied = _with_device(emptied, u, dist=zeros(10))
     assert serviceable_set(1, emptied) == []
     cfg = SchedulerConfig(gamma=300, target=uniform_target(3, 300, 10), policy=policy)
     (full_plan, full_trace), (plan, trace) = (
@@ -385,14 +393,14 @@ def test_trace_replay_confirms_every_greedy_choice():
         dists = {d.id: d.dist for d in topo.devices}
         for server in range(4):
             remaining = set(serviceable_set(server, topo))
-            held = LabelDistribution.zeros(10)
+            held = zeros(10)
             for row in per_server(trace, server):
                 demand = normalize(complement(target, held))
                 best = min(
                     (kl(normalize(dists[u]), demand), u) for u in sorted(remaining)
                 )
                 assert row.device == best[1]
-                held = held.merge(dists[row.device])
+                held = merge(held, dists[row.device])
                 remaining.remove(row.device)
                 assert row.total == held.total()
             assert not remaining  # trace continues through the whole pool
@@ -432,6 +440,21 @@ def test_trace_replay_confirms_every_nearest_choice():
     assert order.index(hi) == order.index(lo) + 1
 
 
+def test_nearest_picker_breaks_ties_by_id_in_any_input_order():
+    # run_scheduler hands the picker ascending ids, where a stable sort on
+    # distance alone would also put the lower id first; descending ids do not
+    topo = _grouped_topology(13)
+    home = serviceable_set(0, topo)
+    lo, hi = home[0], home[-1]
+    tied = _with_device(topo, lo, position=topo.device(hi).position)
+    pick = _nearest_picker(home[::-1], tied, 0)
+    order = [pick(None) for _ in home]
+    assert order.index(hi) == order.index(lo) + 1
+    assert sorted(order) == home
+    distances = [tied.distance(u, 0) for u in order]
+    assert distances == sorted(distances)
+
+
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_trace_rows_equal_the_per_merge_kl(policy, stop):
@@ -439,7 +462,7 @@ def test_trace_rows_equal_the_per_merge_kl(policy, stop):
     running histogram after that merge, bit for bit."""
     grouped = _grouped_topology(14, servers=5, per_server=30)
     # one device without samples: it is never a candidate, so never traced
-    grouped = _with_device(grouped, 7, dist=LabelDistribution.zeros(10))
+    grouped = _with_device(grouped, 7, dist=zeros(10))
     # uniform histograms: every running histogram matches the uniform target,
     # and the raw KL sums round to -1.1e-16 for some, so the clamp matters
     uniform = dataclasses.replace(
@@ -462,9 +485,9 @@ def test_trace_rows_equal_the_per_merge_kl(policy, stop):
             # a stopped server's trace ends with its last planned pick
             planned = [u for u, s in plan.pairs() if s == server]
             assert not stop or [r.device for r in rows] == planned
-            held = LabelDistribution.zeros(10)
+            held = zeros(10)
             for k, row in enumerate(rows, start=1):
-                held = held.merge(topo.device(row.device).dist)
+                held = merge(held, topo.device(row.device).dist)
                 assert row.round == k
                 assert row.total == held.total() and type(row.total) is int
                 assert row.kl == kl(normalize(held), target_probs)

@@ -160,6 +160,34 @@ MUTATIONS = [
         "_round_metrics(t, weights[n:], bias[n:], left_stack, models[1], eval_set)",
         ["tests/test_federated.py", "tests/test_harness.py"],
     ),
+    (
+        "minibatch audited runs also score the eval set in the paired run",
+        "src/edgefed/harness.py",
+        "        scored = eval_set if trains_once else None\n",
+        "        scored = eval_set\n",
+        ["tests/test_harness.py"],
+    ),
+    (
+        "channel gain skips the reference-distance clamp",
+        "src/edgefed/network.py",
+        "    d = np.maximum(distance, reference_distance)\n",
+        "    d = distance\n",
+        ["tests/test_network.py"],
+    ),
+    (
+        "channel gain takes np.power for the path loss",
+        "src/edgefed/network.py",
+        "np.float_power(reference_distance / d, exponent)",
+        "np.power(reference_distance / d, exponent)",
+        ["tests/test_network.py"],
+    ),
+    (
+        "nearest sort key drops the id tie-break",
+        "src/edgefed/scheduler.py",
+        "key=lambda u: (topo.distance(u, server_id), u)",
+        "key=lambda u: topo.distance(u, server_id)",
+        ["tests/test_scheduler.py"],
+    ),
 ]
 
 
