@@ -17,7 +17,13 @@ from pathlib import Path
 import pytest
 
 from edgefed import federated
-from edgefed.harness import ScenarioConfig, desk_config, emit, run_scenario
+from edgefed.harness import (
+    ScenarioConfig,
+    SchedulerParams,
+    desk_config,
+    emit,
+    run_scenario,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 
@@ -26,6 +32,11 @@ PINNED = {
         "trace.csv": "d31adbc3392b12322634fd17bd9164ce2d1cc01a2d2d4ec4cdd90724bde8ad84",
         "plan.json": "ff520014765a9bb3276996a33c8092d4a3af3e6df7ff10124fe558e14ec9fec5",
         "power.csv": "21bb8a300658bff644e439d7cd903cc93487ff4f7d029331ea7dd5ba561bed74",
+    },
+    "desk_random_stop": {
+        "trace.csv": "724ff91509b61edb7595436458480d4fe244727d6f5462b3d4f3511a3f20819f",
+        "plan.json": "853a39ec97700d600e852ee9ebe97ed965c94b4016d4e19b64d41fafb8efda95",
+        "power.csv": "00e4ae35d4d20134d239e96cdd2e3d37a963e0a0a2d4689d48406d7fe882875d",
     },
     "full_offload": {
         "trace.csv": "24b2152b5bc55a9f820e1f01f9ff4b3ea79bdf313367571903b6b5739e02ba79",
@@ -43,6 +54,11 @@ PINNED = {
 def _config(name):
     if name == "desk_seed_1":
         return desk_config(seed=1)
+    if name == "desk_random_stop":
+        # the random policy and the stop rule, which no benchmark workload runs
+        return desk_config(
+            seed=1, scheduler=SchedulerParams(policy="random", stop_at_threshold=True)
+        )
     return ScenarioConfig.from_json(SCENARIOS / f"{name}.json")
 
 
