@@ -198,10 +198,10 @@ def place_topology(
 
     Each device is drawn uniformly in its home server's cell disc and
     re-drawn until that server is also its nearest one, so home membership
-    and nearest-server membership coincide. Channel gains for every
-    device/server pair are computed once here and frozen: one
-    ``channel_gain`` call on the (devices x servers) ``math.dist`` matrix,
-    then, after placement, one block of Exp(1) fading draws multiplied in.
+    and nearest-server membership coincide. Each accepted draw keeps the
+    row of ``math.dist`` distances its nearest test used, and channel gains
+    are computed once here and frozen: one ``channel_gain`` call on those
+    (devices x servers) rows, then one block of Exp(1) fading draws.
 
     Args:
         params: lattice size, cell radius and channel model; a scenario's
@@ -224,7 +224,7 @@ def place_topology(
         )
     centers = _hex_centers(num_servers, cell_radius)
     servers = tuple(Server(i, c) for i, c in enumerate(centers))
-    devices = []
+    devices, rows = [], []
     device_id = 0
     for s, (cx, cy) in enumerate(centers):
         for _ in range(params.devices_per_server):
@@ -233,9 +233,10 @@ def place_topology(
                 angle = 2.0 * math.pi * float(rng.random())
                 px = cx + radius * math.cos(angle)
                 py = cy + radius * math.sin(angle)
-                d2 = [(x - px) * (x - px) + (y - py) * (y - py) for x, y in centers]
-                if d2.index(min(d2)) == s:
+                row = [math.dist((px, py), c) for c in centers]
+                if row.index(min(row)) == s:
                     break
+            rows.append(row)
             d = dists[device_id]
             devices.append(
                 Device(
@@ -247,11 +248,8 @@ def place_topology(
                 )
             )
             device_id += 1
-    distances = np.array(
-        [math.dist(dev.position, c) for dev in devices for c in centers]
-    ).reshape(total_devices, num_servers)
     gains = channel_gain(
-        distances,
+        np.array(rows),
         params.path_loss_exponent,
         reference_gain=params.reference_gain,
         reference_distance=params.reference_distance,

@@ -2,14 +2,13 @@
 
 The divergence-aware policy greedily hands each server the candidate whose
 label distribution is closest, in KL divergence, to what the server still
-needs to reach the global target. Each server's candidates are smoothed once
-into an (n x C) probability matrix, and every step scores all remaining rows
-in one array op against the demand left by the server's held count row.
-Two baselines are provided: nearest device first, ordered by one sort per
-server, and uniformly random order, one draw per step. All policies trace
-the KL divergence of the growing server dataset against the global target
-after every merge; each server's trace is one array op over the cumulative
-counts of its picked devices, after its pick loop.
+needs to reach the global target, scoring all remaining candidates in one
+array op per pick. Two baselines are provided: nearest device first, one
+sort per server, and uniformly random order, one draw per step. Each policy
+is an order of device ids over one (N x C) count matrix, stacked once per
+run. All policies trace the KL divergence of the growing server dataset
+against the global target after every merge; each server's trace and plan
+cut come from one cumulative sum over its picked devices' count rows.
 """
 
 from __future__ import annotations
@@ -141,51 +140,44 @@ def _kl_scores(probs: np.ndarray, held: np.ndarray, target_counts: np.ndarray) -
     return _kl_rows(probs, demand)
 
 
-def _min_kl_picker(ids, dists, target_counts):
-    """Greedy min-KL order: one array op over the remaining candidates per step.
+def _min_kl_order(counts, target_counts):
+    """Greedy min-KL order of the rows of ``counts``: one array op per pick.
 
     ``argmin`` returns the first minimum and rows are in ascending id, so
     ties go to the lowest id. Once the held counts reach ``target_counts``
     in every class, the demand is the zero row for good and every remaining
     score is fixed. The rest of the order is then one stable ``argsort`` of
-    that step's scores, taken rows scored ``inf`` so they sort last; equal
-    scores keep ascending id, as successive ``argmin`` calls would.
+    that step's scores, taken rows scored ``inf`` to sort last and be cut
+    off; equal scores keep ascending id, as successive ``argmin`` would.
     """
-    probs = smoothed_rows(np.array([dists[u].counts for u in ids]))
-    taken = np.zeros(len(ids), dtype=bool)
-    tail = None
-
-    def pick(held):
-        nonlocal tail
-        if tail is None:
-            scores = _kl_scores(probs, held, target_counts)
-            scores[taken] = np.inf
-            if not (held >= target_counts).all():
-                i = int(np.argmin(scores))
-                taken[i] = True
-                return ids[i]
-            tail = iter(np.argsort(scores, kind="stable").tolist())
-        return ids[next(tail)]
-
-    return pick
+    n = len(counts)
+    probs = smoothed_rows(counts)
+    held = np.zeros_like(target_counts)
+    taken = np.zeros(n, dtype=bool)
+    for k in range(n):
+        scores = _kl_scores(probs, held, target_counts)
+        scores[taken] = np.inf
+        if (held >= target_counts).all():
+            yield from np.argsort(scores, kind="stable")[: n - k].tolist()
+            return
+        i = int(np.argmin(scores))
+        taken[i] = True
+        held += counts[i]
+        yield i
 
 
-def _nearest_picker(ids, topo, server_id):
+def _nearest_order(ids, topo, server_id):
     """Nearest device first, lowest id on equal distance: one sort per server."""
-    order = iter(sorted(ids, key=lambda u: (topo.distance(u, server_id), u)))
-    return lambda held: next(order)
+    return sorted(ids, key=lambda u: (topo.distance(u, server_id), u))
 
 
-def _random_picker(ids, rng):
-    """Uniformly random order, one draw over the remaining ids per step."""
+def _random_order(ids, rng):
+    """Uniformly random order, one draw per step: a stopped server draws no more."""
     remaining = list(ids)
-
-    def pick(held):
+    while remaining:
         u = int(rng.choice(remaining))
         remaining.remove(u)
-        return u
-
-    return pick
+        yield u
 
 
 def run_scheduler(
@@ -217,9 +209,11 @@ def run_scheduler(
     """
     if cfg.policy == Policy.RANDOM and rng is None:
         raise InvalidParameterError("the random policy needs an rng")
-    dists = {d.id: d.dist for d in topo.devices}
-    if any(d.num_classes != cfg.target.num_classes for d in dists.values()):
+    if any(d.dist.num_classes != cfg.target.num_classes for d in topo.devices):
         raise DimensionMismatchError("device histograms and target differ in class count")
+    counts = np.array([d.dist.counts for d in topo.devices], dtype=np.int64)
+    counts = counts.reshape(len(topo.devices), cfg.target.num_classes)  # (0, C) if none
+    sizes = counts.sum(axis=1).tolist()
     target_probs = normalize(cfg.target).probs
     trace_rows = []
     plan_pairs = []
@@ -229,20 +223,18 @@ def run_scheduler(
         if not ids:
             continue
         if cfg.policy == Policy.MIN_KL:
-            pick = _min_kl_picker(ids, dists, cfg.target.counts)
+            order = (ids[i] for i in _min_kl_order(counts[ids], cfg.target.counts))
         elif cfg.policy == Policy.NEAREST:
-            pick = _nearest_picker(ids, topo, s)
+            order = _nearest_order(ids, topo, s)
         else:
-            pick = _random_picker(ids, rng)
-        held = np.zeros(cfg.target.num_classes, dtype=np.int64)
-        picked = []
-        for _ in ids:
-            device = pick(held)
-            held = held + dists[device].counts
-            picked.append(device)
-            if cfg.stop_at_threshold and held.sum() >= cfg.gamma:
+            order = _random_order(ids, rng)
+        picked, total = [], 0
+        for u in order:
+            picked.append(u)
+            total += sizes[u]
+            if cfg.stop_at_threshold and total >= cfg.gamma:
                 break
-        held = np.cumsum([dists[u].counts for u in picked], axis=0)
+        held = np.cumsum(counts[picked], axis=0)
         kls = _kl_rows(smoothed_rows(held), target_probs).tolist()
         totals = held.sum(axis=1).tolist()
         # A pick is planned while the total before it is below gamma.

@@ -18,41 +18,74 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree):
-    """A module's top-level functions and classes, and its classes' methods."""
+    """A module's top-level definitions as ``(None, node)`` and its classes'
+    methods as ``(class name, node)``."""
     for node in tree.body:
         if isinstance(node, _DEFS):
-            yield node
+            yield None, node
             if isinstance(node, ast.ClassDef):
-                yield from (sub for sub in node.body if isinstance(sub, _DEFS))
+                yield from ((node.name, sub) for sub in node.body if isinstance(sub, _DEFS))
 
 
-def _reads(node) -> Counter:
-    """How often each name is read under ``node``: ``f`` in ``f()``, ``g`` in ``x.g``."""
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+def _reads(node, classes) -> Counter:
+    """How often each name is read under ``node``.
+
+    ``f`` in ``f()`` is the key ``(f, None, False)``. ``g`` in ``x.g`` is
+    ``(g, receiver, True)``, where the receiver is the class of ``classes``
+    that ``x`` names, as in ``Cls.g`` or ``module.Cls.g``, and None for any
+    other ``x``.
+    """
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id, None, False] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            x = n.value
+            named = x.id if isinstance(x, ast.Name) else getattr(x, "attr", None)
+            found[n.attr, named if named in classes else None, True] += 1
+    return found
+
+
+def _reads_of(reads, owner, name) -> int:
+    """Reads of a top-level ``name`` (``owner`` None), or of method ``owner.name``.
+
+    A top-level name counts every read of its spelling. A method counts only
+    attribute reads whose receiver is its own class or no known class.
+    """
+    return sum(
+        n
+        for (spelling, receiver, attribute), n in reads.items()
+        if spelling == name and (owner is None or (attribute and receiver in (None, owner)))
     )
 
 
 def unread_definitions(sources: dict, defining) -> list:
-    """``module:name`` of each definition that nothing reads outside itself.
+    """``module:name`` or ``module:Class.method`` of each definition that
+    nothing reads outside itself.
 
     ``sources`` maps module names to source text; the definitions of the
-    ``defining`` modules are checked against reads in all of them. Names
-    match by spelling alone, and a name read only inside a string counts as
+    ``defining`` modules are checked against reads in all of them. Top-level
+    names match by spelling alone. A method is read only through an
+    attribute, and ``Cls.method`` on a class of the ``defining`` modules
+    counts for that class alone. A name read only inside a string counts as
     unread. Dunder methods are skipped, because Python calls them.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    classes = {
+        node.name
+        for module in defining
+        for node in trees[module].body
+        if isinstance(node, ast.ClassDef)
+    }
+    total = sum((_reads(tree, classes) for tree in trees.values()), Counter())
     found = []
     for module in defining:
-        for node in _definitions(trees[module]):
+        for owner, node in _definitions(trees[module]):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] == _reads(node)[name]:
-                found.append(f"{module}:{name}")
+            if _reads_of(total, owner, name) == _reads_of(_reads(node, classes), owner, name):
+                found.append(f"{module}:{owner + '.' if owner else ''}{name}")
     return sorted(found)
 
 
@@ -71,10 +104,34 @@ def test_scan_flags_an_unread_definition():
         "        return self.grow() - 2\n"
         "    def spare(self):\n"
         "        return 'spare'\n"
+        "class Grid:\n"
+        "    @classmethod\n"
+        "    def zeros(cls):\n"
+        "        return cls()\n"
+        "    def powers(self):\n"
+        "        return 2\n"
+        "class Table:\n"
+        "    @classmethod\n"
+        "    def zeros(cls):\n"
+        "        return cls()\n"
+        "def total(powers):\n"
+        "    return powers\n"
     )
-    reader = "from snippet import Box\nBox().shrink()\n"
+    # ``powers`` is read only as an argument name, and ``zeros`` only on Table
+    reader = (
+        "from snippet import Box, Grid, Table, total\n"
+        "Box().shrink()\n"
+        "Grid()\n"
+        "Table.zeros()\n"
+        "total(3)\n"
+    )
     found = unread_definitions({"snippet": snippet, "reader": reader}, ["snippet"])
-    assert found == ["snippet:recursive", "snippet:spare"]
+    assert found == [
+        "snippet:Box.spare",
+        "snippet:Grid.powers",
+        "snippet:Grid.zeros",
+        "snippet:recursive",
+    ]
 
 
 def test_every_src_definition_is_read_outside_the_tests():

@@ -21,13 +21,20 @@ from edgefed.errors import (
     InvalidParameterError,
     UnreachableDeviceError,
 )
-from edgefed.network import RadioConfig, TopologyParams, TransferRecord, place_topology
+from edgefed.network import (
+    RadioConfig,
+    Server,
+    Topology,
+    TopologyParams,
+    TransferRecord,
+    place_topology,
+)
 from edgefed.scheduler import (
     Policy,
     SchedulerConfig,
     _kl_scores,
-    _min_kl_picker,
-    _nearest_picker,
+    _min_kl_order,
+    _nearest_order,
     run_scheduler,
     serviceable_set,
     uniform_target,
@@ -123,8 +130,14 @@ def test_serviceable_set_filters():
 
 
 def _min_kl_pick(candidates, dists, server, target):
-    """The device the scheduler's min-KL picker takes first for ``server``."""
-    return _min_kl_picker(sorted(candidates), dists, target.counts)(server.counts)
+    """The device the scheduler's min-KL order takes first for ``server``.
+
+    The server's held counts are taken off the target, so its first pick
+    scores the same demand.
+    """
+    ids = sorted(candidates)
+    counts = np.array([dists[u].counts for u in ids])
+    return ids[next(_min_kl_order(counts, target.counts - server.counts))]
 
 
 def test_min_kl_prefers_the_missing_class():
@@ -224,14 +237,9 @@ def _argmin_order(ids, dists, target_counts):
     return order, reached_at
 
 
-def _picker_order(ids, dists, target_counts):
-    pick = _min_kl_picker(ids, dists, target_counts)
-    held = np.zeros_like(target_counts)
-    order = []
-    for _ in ids:
-        order.append(pick(held))
-        held = held + dists[order[-1]].counts
-    return order
+def _order_ids(ids, dists, target_counts):
+    counts = np.array([dists[u].counts for u in ids])
+    return [ids[i] for i in _min_kl_order(counts, target_counts)]
 
 
 def _tail_case(name):
@@ -253,6 +261,11 @@ def _tail_case(name):
     return ids, dists, target
 
 
+def test_min_kl_order_of_one_row_is_that_row():
+    for target in (np.array([5, 5]), np.array([0, 0])):  # not yet held / held
+        assert list(_min_kl_order(np.array([[3, 1]]), target)) == [0]
+
+
 @pytest.mark.parametrize("name", ["mid_pool", "never", "ties"])
 def test_min_kl_tail_sort_equals_the_argmin_replay(name):
     """The stable-sort tail gives the same order as one ``argmin`` per pick."""
@@ -266,7 +279,9 @@ def test_min_kl_tail_sort_equals_the_argmin_replay(name):
         # each histogram still has a run of more than 20 equal scores to order
         runs = Counter(tuple(dists[u].counts.tolist()) for u in want[reached_at:])
         assert len(runs) == 3 and min(runs.values()) > 20
-    assert _picker_order(ids, dists, target) == want
+    got = _order_ids(ids, dists, target)
+    assert sorted(got) == ids  # every row once, and no taken row again
+    assert got == want
 
 
 # ------------------------------------------------------------------ full runs
@@ -335,6 +350,14 @@ def test_server_without_candidates_plans_and_traces_nothing(policy):
         else:
             assert pairs == [p for p in full_plan.pairs() if p[1] == server]
             assert per_server(trace, server) == per_server(full_trace, server)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_topology_without_devices_schedules_nothing(policy):
+    topo = Topology((Server(0, (0.0, 0.0)),), (), np.zeros((0, 1)))
+    cfg = SchedulerConfig(gamma=5, target=uniform_target(1, 5, 3), policy=policy)
+    plan, trace = run_scheduler(cfg, topo, RadioConfig(), default_rng(0))
+    assert plan.entries == () and trace.rows == ()
 
 
 def test_greedy_beats_random_on_final_kl():
@@ -440,15 +463,14 @@ def test_trace_replay_confirms_every_nearest_choice():
     assert order.index(hi) == order.index(lo) + 1
 
 
-def test_nearest_picker_breaks_ties_by_id_in_any_input_order():
-    # run_scheduler hands the picker ascending ids, where a stable sort on
+def test_nearest_order_breaks_ties_by_id_in_any_input_order():
+    # run_scheduler hands the sort ascending ids, where a stable sort on
     # distance alone would also put the lower id first; descending ids do not
     topo = _grouped_topology(13)
     home = serviceable_set(0, topo)
     lo, hi = home[0], home[-1]
     tied = _with_device(topo, lo, position=topo.device(hi).position)
-    pick = _nearest_picker(home[::-1], tied, 0)
-    order = [pick(None) for _ in home]
+    order = _nearest_order(home[::-1], tied, 0)
     assert order.index(hi) == order.index(lo) + 1
     assert sorted(order) == home
     distances = [tied.distance(u, 0) for u in order]

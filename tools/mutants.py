@@ -6,8 +6,9 @@ Each mutation names one text edit to one file under ``src/`` and the test
 files that should catch it. For each, ``src/``, ``tests/``, ``perfbench/``
 (whose scenarios and tracer some tests load) and ``pyproject.toml`` are
 copied to a temporary directory, the edit is applied there, and only that
-mutation's test files run. A mutation whose tests still pass survived. The
-working tree is never edited.
+mutation's test files run. A mutation whose tests still pass survived; one
+whose tests run past ``TIMEOUT_S`` seconds is stopped, reported as
+``timeout`` and counted as killed. The working tree is never edited.
 
 First the listed test files run once on the unmutated copy; if they fail,
 no verdict would mean anything and the script exits 2. It also exits 2 when
@@ -25,6 +26,10 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# One test run's limit. A mutant can loop forever (the placement loop's
+# redraw sits next to mutation targets), so a run that hits it is reported
+# as ``timeout`` and counts as killed; the unmutated run must finish in it.
+TIMEOUT_S = 300
 
 # (name, file under the repo root, text, replacement, test files)
 MUTATIONS = [
@@ -106,9 +111,22 @@ MUTATIONS = [
     (
         "min-KL switches to the tail one pick early",
         "src/edgefed/scheduler.py",
-        "            if not (held >= target_counts).all():",
-        "            if not (held + dists[ids[int(np.argmin(scores))]].counts"
-        " >= target_counts).all():",
+        "        if (held >= target_counts).all():",
+        "        if (held + counts[int(np.argmin(scores))] >= target_counts).all():",
+        ["tests/test_scheduler.py"],
+    ),
+    (
+        "min-KL tail slice is one row long",
+        "src/edgefed/scheduler.py",
+        '[: n - k].tolist()',
+        '[: n - k + 1].tolist()',
+        ["tests/test_scheduler.py"],
+    ),
+    (
+        "stop rule waits for a total above gamma",
+        "src/edgefed/scheduler.py",
+        "cfg.stop_at_threshold and total >= cfg.gamma",
+        "cfg.stop_at_threshold and total > cfg.gamma",
         ["tests/test_scheduler.py"],
     ),
     (
@@ -199,7 +217,8 @@ def _copy_tree(dest):
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def _tests_pass(tree, files):
+def _run_tests(tree, files):
+    """``"pass"``, ``"fail"``, or ``"timeout"`` after ``TIMEOUT_S`` seconds."""
     env = dict(
         os.environ,
         PYTHONDONTWRITEBYTECODE="1",
@@ -209,10 +228,18 @@ def _tests_pass(tree, files):
         MKL_NUM_THREADS="1",
     )
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *files]
-    proc = subprocess.run(
-        cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-    )
-    return proc.returncode == 0
+    try:
+        proc = subprocess.run(
+            cmd,
+            cwd=tree,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "pass" if proc.returncode == 0 else "fail"
 
 
 def main():
@@ -227,8 +254,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tree = pathlib.Path(tmp) / "clean"
         _copy_tree(tree)
-        if not _tests_pass(tree, all_files):
-            print(f"the unmutated tests fail: {' '.join(all_files)}")
+        clean = _run_tests(tree, all_files)
+        if clean != "pass":
+            print(f"the unmutated tests did not pass ({clean}): {' '.join(all_files)}")
             sys.exit(2)
     survivors = []
     start = time.perf_counter()
@@ -239,10 +267,10 @@ def main():
             _copy_tree(tree)
             target = tree / path
             target.write_text(target.read_text().replace(text, replacement))
-            survived = _tests_pass(tree, files)
-        verdict = "SURVIVED" if survived else "killed"
+            outcome = _run_tests(tree, files)
+        verdict = {"pass": "SURVIVED", "fail": "killed", "timeout": "timeout"}[outcome]
         print(f"{verdict:8}  {time.perf_counter() - t0:5.1f} s  {name}  ({' '.join(files)})")
-        if survived:
+        if outcome == "pass":
             survivors.append(name)
     total = time.perf_counter() - start
     print(f"{len(MUTATIONS) - len(survivors)}/{len(MUTATIONS)} killed in {total:.1f} s")
