@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from edgefed import federated
+from edgefed.distributions import DirichletProfile
 from edgefed.harness import (
+    DataParams,
     ScenarioConfig,
     SchedulerParams,
     desk_config,
@@ -32,6 +34,11 @@ PINNED = {
         "trace.csv": "d31adbc3392b12322634fd17bd9164ce2d1cc01a2d2d4ec4cdd90724bde8ad84",
         "plan.json": "ff520014765a9bb3276996a33c8092d4a3af3e6df7ff10124fe558e14ec9fec5",
         "power.csv": "21bb8a300658bff644e439d7cd903cc93487ff4f7d029331ea7dd5ba561bed74",
+    },
+    "desk_dirichlet": {
+        "trace.csv": "c169399ec67646948f66db310af04bda698adc2a5f7eac3f68f0b4bd53513f54",
+        "plan.json": "3d993d5ad2d256cafa06da1359ac6b39d9b4b662ce479b3a960b7db4e49ec538",
+        "power.csv": "826387d0bf297b4b92167530534289c94d91f5dae1f856357367d30ac5405bbb",
     },
     "desk_random_stop": {
         "trace.csv": "724ff91509b61edb7595436458480d4fe244727d6f5462b3d4f3511a3f20819f",
@@ -54,6 +61,11 @@ PINNED = {
 def _config(name):
     if name == "desk_seed_1":
         return desk_config(seed=1)
+    if name == "desk_dirichlet":
+        # the Dirichlet profile, which no benchmark workload runs
+        return desk_config(
+            seed=1, data=DataParams(profile=DirichletProfile(alpha=(0.5,) * 10))
+        )
     if name == "desk_random_stop":
         # the random policy and the stop rule, which no benchmark workload runs
         return desk_config(
