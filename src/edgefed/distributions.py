@@ -55,10 +55,7 @@ class LabelDistribution:
         if arr.ndim != 1 or arr.size < 2:
             raise InvalidInputError("label histogram needs at least two classes")
         if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.allclose(arr, rounded):
-                raise InvalidInputError("label counts must be integers")
-            arr = rounded
+            raise InvalidInputError("label counts must be integers")
         if np.any(arr < 0):
             raise InvalidInputError("label counts must be non-negative")
         object.__setattr__(self, "counts", _frozen_array(arr, np.int64))
@@ -69,29 +66,6 @@ class LabelDistribution:
 
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """A point on the probability simplex (entries >= 0, sum == 1)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise InvalidInputError("probability vector needs at least two entries")
-        if np.any(arr < 0):
-            raise InvalidInputError("probabilities must be non-negative")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError(
-                f"probabilities sum to {float(arr.sum())!r}, expected 1"
-            )
-        object.__setattr__(self, "probs", _frozen_array(arr, np.float64))
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.probs.size)
 
 
 @dataclass(frozen=True)
@@ -252,14 +226,8 @@ class FeatureModel:
         return int(self.means.shape[1])
 
 
-DEFAULT_FEAT_DIM = 16
-
-
 def separated_feature_model(
-    num_classes: int,
-    feat_dim: int = DEFAULT_FEAT_DIM,
-    separation: float = 6.0,
-    std: float = 1.0,
+    num_classes: int, feat_dim: int, separation: float, std: float
 ) -> FeatureModel:
     """Deterministic feature model with one axis per class.
 
@@ -287,7 +255,7 @@ def uniform_distribution(num_classes: int, total: int) -> LabelDistribution:
     return LabelDistribution(counts)
 
 
-def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> ProbabilityVector:
+def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> np.ndarray:
     """Draw one proportion vector from Dir(alpha).
 
     Args:
@@ -295,7 +263,7 @@ def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> Probab
         rng: source of randomness.
 
     Returns:
-        The drawn point on the simplex.
+        The drawn point on the simplex, a float64 row.
     """
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
@@ -303,9 +271,8 @@ def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> Probab
     if np.any(arr <= 0):
         raise InvalidParameterError("Dirichlet concentrations must be positive")
     draw = rng.dirichlet(arr)
-    # Guard against accumulated rounding drift on extreme concentrations.
-    draw = draw / draw.sum()
-    return ProbabilityVector(draw)
+    # numpy's draw can miss a unit sum by rounding; renormalise it.
+    return draw / draw.sum()
 
 
 def _high_class_picker(profile: GroupedProfile, rng: np.random.Generator):
@@ -382,11 +349,13 @@ def generate_clients(
 ) -> list:
     """Generate one label histogram per client under the given profile.
 
+    A Dirichlet client draws its proportions, then its multinomial counts.
     A grouped client draws its high groups, then one normal per class in
-    class order. The bytes of a population therefore depend on numpy's
-    ``Generator.choice`` algorithm, which this function reproduces for one
-    group with ``random`` (weighted) or ``integers`` (uniform), and on those
-    two methods' algorithms.
+    class order. The bytes of a grouped population therefore depend on
+    numpy's ``Generator.choice`` algorithm, which this function reproduces
+    for one group with ``random`` (weighted) or ``integers`` (uniform), and
+    on those two methods' algorithms. Either way the counts form one
+    read-only (num_clients, C) int64 matrix, and each histogram views a row.
 
     Args:
         profile: Dirichlet or grouped skew description.
@@ -400,17 +369,17 @@ def generate_clients(
     if num_clients <= 0:
         raise InvalidParameterError("num_clients must be positive")
     if isinstance(profile, DirichletProfile):
-        out = []
-        for _ in range(num_clients):
-            theta = sample_dirichlet(profile.alpha, rng)
-            counts = rng.multinomial(profile.samples_per_client, theta.probs)
-            out.append(LabelDistribution(counts))
-        return out
-    if isinstance(profile, GroupedProfile):
+        n, alpha = profile.samples_per_client, profile.alpha
+        counts = np.array(
+            [rng.multinomial(n, sample_dirichlet(alpha, rng)) for _ in range(num_clients)],
+            dtype=np.int64,
+        )
+    elif isinstance(profile, GroupedProfile):
         counts = _grouped_counts(profile, num_clients, rng)
-        counts.flags.writeable = False
-        return [_trusted(LabelDistribution, counts=row) for row in counts]
-    raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
+    else:
+        raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
+    counts.flags.writeable = False
+    return [_trusted(LabelDistribution, counts=row) for row in counts]
 
 
 # The pseudo-count ``smoothed_rows`` gives every class.
@@ -430,14 +399,14 @@ def smoothed_rows(counts: np.ndarray) -> np.ndarray:
     return (counts + eps) / (counts.sum(axis=1) + counts.shape[1] * eps)[:, None]
 
 
-def normalize(dist: LabelDistribution) -> ProbabilityVector:
-    """Smooth a histogram into a strictly positive probability vector.
+def normalize(dist: LabelDistribution) -> np.ndarray:
+    """Smooth a histogram into a strictly positive float64 probability row.
 
     Every class receives ``(count + eps) / (total + C * eps)`` mass, with
     ``eps = SMOOTHING_EPSILON``, so an all-zero histogram maps to the
     uniform distribution. This is ``smoothed_rows`` of its one row.
     """
-    return ProbabilityVector(smoothed_rows(dist.counts[None])[0])
+    return smoothed_rows(dist.counts[None])[0]
 
 
 def materialize(

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Dataset, ProbabilityVector
+from .distributions import Dataset
 from .errors import (
     DimensionMismatchError,
     InvalidComparisonError,
@@ -26,27 +26,25 @@ from .federated import PairedRun, loss_and_grad
 BOUND_SLACK = 1e-9
 
 
-def kl(p: ProbabilityVector, q: ProbabilityVector) -> float:
+def kl(p: np.ndarray, q: np.ndarray) -> float:
     """Kullback-Leibler divergence KL(p || q) in nats.
 
     Terms with ``p[c] == 0`` contribute zero. ``q`` must be strictly
     positive, which smoothed histograms always are.
 
     Args:
-        p: left distribution.
-        q: right (reference) distribution, strictly positive.
+        p: left distribution, a float64 probability row.
+        q: right (reference) distribution of the same shape, strictly positive.
 
     Returns:
         The divergence, clamped at zero against rounding noise.
     """
-    if p.num_classes != q.num_classes:
+    if p.shape != q.shape:
         raise DimensionMismatchError("distributions cover different class counts")
-    qp = q.probs
-    if np.any(qp <= 0.0):
+    if np.any(q <= 0.0):
         raise InvalidInputError("reference distribution must be strictly positive")
-    pp = p.probs
-    mask = pp > 0.0
-    value = float(np.sum(pp[mask] * np.log(pp[mask] / qp[mask])))
+    mask = p > 0.0
+    value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     return max(value, 0.0)
 
 

@@ -17,7 +17,6 @@ STREAMS = {
     "training": 3,
     "eval": 4,
     "iid": 5,
-    "audit": 6,
 }
 
 

@@ -214,7 +214,7 @@ def run_scheduler(
     counts = np.array([d.dist.counts for d in topo.devices], dtype=np.int64)
     counts = counts.reshape(len(topo.devices), cfg.target.num_classes)  # (0, C) if none
     sizes = counts.sum(axis=1).tolist()
-    target_probs = normalize(cfg.target).probs
+    target_probs = normalize(cfg.target)
     trace_rows = []
     plan_pairs = []
     for server in topo.servers:

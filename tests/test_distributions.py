@@ -9,9 +9,9 @@ from numpy.random import default_rng
 from edgefed.distributions import (
     Dataset,
     DirichletProfile,
+    FeatureModel,
     GroupedProfile,
     LabelDistribution,
-    ProbabilityVector,
     generate_clients,
     materialize,
     normalize,
@@ -51,8 +51,15 @@ def test_label_distribution_basics():
 def test_label_distribution_rejects_bad_counts():
     with pytest.raises(InvalidInputError):
         LabelDistribution([5, -1])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="label counts must be integers"):
         LabelDistribution([1.5, 2.5])
+    # integral floats are not coerced either
+    with pytest.raises(InvalidInputError, match="label counts must be integers"):
+        LabelDistribution(np.array([1.0, 2.0]))
+    with pytest.raises(InvalidInputError, match="needs at least two classes"):
+        LabelDistribution([5])
+    with pytest.raises(InvalidInputError, match="total must be non-negative"):
+        uniform_distribution(3, -1)
     with pytest.raises(DimensionMismatchError):
         merge(LabelDistribution([1, 2]), LabelDistribution([1, 2, 3]))
 
@@ -70,22 +77,29 @@ def test_uniform_distribution_spread():
 
 
 def test_dirichlet_is_a_probability_vector():
-    theta = sample_dirichlet([1.0, 1.0], default_rng(7))
-    p = theta.probs
+    p = sample_dirichlet([1.0, 1.0], default_rng(7))
     assert 0.0 < p[0] < 1.0
     assert math.isclose(float(p.sum()), 1.0, abs_tol=1e-12)
+
+
+def test_dirichlet_renormalises_the_draw():
+    # this raw draw sums to 0.9999999999999998, so dividing moves every entry
+    raw = default_rng(2).dirichlet([0.5] * 10)
+    got = sample_dirichlet([0.5] * 10, default_rng(2))
+    assert (got == raw / raw.sum()).all()
+    assert (got != raw).any()
 
 
 def test_dirichlet_concentration_limit():
     # huge alpha pins every draw to the uniform point
     theta = sample_dirichlet([1e6] * 10, default_rng(3))
-    assert np.all(np.abs(theta.probs - 0.1) < 0.01)
+    assert np.all(np.abs(theta - 0.1) < 0.01)
 
 
 def test_dirichlet_mean_matches_analytic():
     # Monte-Carlo oracle: E[theta] = alpha / sum(alpha)
     rng = default_rng(11)
-    draws = np.array([sample_dirichlet([2.0, 1.0, 1.0], rng).probs for _ in range(10_000)])
+    draws = np.array([sample_dirichlet([2.0, 1.0, 1.0], rng) for _ in range(10_000)])
     assert np.allclose(draws.mean(axis=0), [0.5, 0.25, 0.25], atol=0.01)
 
 
@@ -95,6 +109,28 @@ def test_dirichlet_rejects_nonpositive_alpha():
         sample_dirichlet([1.0, 0.0], rng)
     with pytest.raises(InvalidParameterError):
         sample_dirichlet([-0.5, 1.0], rng)
+    with pytest.raises(InvalidParameterError, match="alpha needs at least two classes"):
+        sample_dirichlet([1.0], rng)
+    with pytest.raises(InvalidParameterError, match="alpha needs at least two classes"):
+        DirichletProfile(alpha=(1.0,))
+    with pytest.raises(InvalidParameterError, match="concentrations must be positive"):
+        DirichletProfile(alpha=(1.0, 0.0))
+    with pytest.raises(InvalidParameterError, match="samples_per_client must be positive"):
+        DirichletProfile(alpha=(1.0, 1.0), samples_per_client=0)
+
+
+def test_dirichlet_clients_equal_the_per_client_draws():
+    # per client: its proportions, renormalised, then its multinomial counts
+    profile = DirichletProfile(alpha=(0.5, 1.0, 2.0, 0.5), samples_per_client=37)
+    rng, oracle_rng = default_rng(9), default_rng(9)
+    got = generate_clients(profile, 50, rng)
+    want = []
+    for _ in range(50):
+        theta = oracle_rng.dirichlet(profile.alpha)
+        want.append(oracle_rng.multinomial(37, theta / theta.sum()).tolist())
+    assert [c.counts.tolist() for c in got] == want
+    assert rng.random() == oracle_rng.random()
+    assert all(c.counts.dtype == np.int64 and _read_only(c.counts) for c in got)
 
 
 def test_dirichlet_low_alpha_concentrates_mass():
@@ -138,6 +174,8 @@ def test_grouped_degenerate_stds_are_exact():
 
 
 def test_grouped_validation():
+    with pytest.raises(InvalidParameterError, match="need at least two classes"):
+        GroupedProfile(num_classes=1)
     with pytest.raises(InvalidParameterError):
         GroupedProfile(low_mean=0.0)
     with pytest.raises(InvalidParameterError):
@@ -282,24 +320,17 @@ def test_grouped_count_too_large_for_int64_raises():
 
 def test_normalize_plain_counts():
     p = normalize(LabelDistribution([10, 10, 10, 10]))
-    assert np.allclose(p.probs, 0.25)
+    assert np.allclose(p, 0.25)
 
 
 def test_normalize_empty_histogram_is_uniform():
     p = normalize(LabelDistribution([0, 0, 0, 0]))
-    assert np.allclose(p.probs, 0.25)
+    assert np.allclose(p, 0.25)
 
 
 def test_normalize_arithmetic():
     p = normalize(LabelDistribution([3, 1]))
-    assert np.allclose(p.probs, [0.75, 0.25], atol=1e-5)
-
-
-def test_probability_vector_validation():
-    with pytest.raises(InvalidInputError):
-        ProbabilityVector(np.array([0.7, 0.7]))
-    with pytest.raises(InvalidInputError):
-        ProbabilityVector(np.array([-0.1, 1.1]))
+    assert np.allclose(p, [0.75, 0.25], atol=1e-5)
 
 
 # ------------------------------------------------------------- materialise
@@ -311,6 +342,24 @@ def test_materialize_counts_and_labels():
     assert len(ds) == 5
     assert np.all(ds.labels == 0)
     assert ds.feat_dim == 4
+
+
+def test_feature_data_validation():
+    with pytest.raises(InvalidInputError, match="features must be a 2-d matrix"):
+        Dataset(np.zeros(3), np.zeros(3, dtype=int))
+    with pytest.raises(DimensionMismatchError, match="one label per feature row"):
+        Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
+    with pytest.raises(InvalidInputError, match="cannot concatenate zero datasets"):
+        Dataset.concat([])
+    with pytest.raises(InvalidInputError, match="class means must form a 2-d matrix"):
+        FeatureModel(np.zeros(3))
+    with pytest.raises(InvalidParameterError, match="feature std must be non-negative"):
+        FeatureModel(np.zeros((2, 3)), -1.0)
+    with pytest.raises(InvalidParameterError, match="feat_dim must be at least num_classes"):
+        separated_feature_model(4, 3, 6.0, 1.0)
+    model = separated_feature_model(3, 4, 6.0, 1.0)
+    with pytest.raises(DimensionMismatchError, match="feature model covers 3 classes"):
+        materialize(LabelDistribution([1, 1]), model, default_rng(1))
 
 
 def test_materialize_empty():

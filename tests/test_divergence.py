@@ -10,7 +10,6 @@ from numpy.random import default_rng
 from edgefed.distributions import (
     Dataset,
     LabelDistribution,
-    ProbabilityVector,
     materialize,
     normalize,
     separated_feature_model,
@@ -46,8 +45,8 @@ from oracles import (
 )
 
 
-def _pv(values) -> ProbabilityVector:
-    return ProbabilityVector(np.asarray(values, dtype=np.float64))
+def _pv(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
 
 
 # ------------------------------------------------------------------------ kl
@@ -84,6 +83,14 @@ def test_kl_nonnegative_on_random_pairs():
         q = rng.dirichlet([1.0] * 6) + 1e-9
         q = q / q.sum()
         assert kl(_pv(p), _pv(q)) >= 0.0
+
+
+def test_kl_clamps_rounding_noise_at_zero():
+    # a Dirichlet draw against its renormalised self: the raw sum is negative
+    p = _pv([0.39546198954297845, 0.5930180594914135, 0.011519950965607977])
+    q = p / p.sum()
+    assert float(np.sum(p * np.log(p / q))) < 0.0
+    assert kl(p, q) == 0.0
 
 
 # ---------------------------------------------------------------- complement
@@ -244,6 +251,8 @@ def test_drift_bound_validation():
         drift_bound(0.0, -0.1, [1], [0.1], [1.0], 1)
     with pytest.raises(InvalidParameterError):
         drift_bound(0.0, 0.1, [1], [0.1], [1.0], 0)
+    with pytest.raises(InvalidInputError, match="total data size must be positive"):
+        drift_bound(0.0, 0.1, [0], [0.1], [1.0], 1)
 
 
 # -------------------------------------------------------------------- audits

@@ -490,6 +490,10 @@ def test_aggregate_validation():
         aggregate([w, ModelParams.zeros(3, 2)], [1, 1])
     with pytest.raises(DimensionMismatchError):
         aggregate([w], [1, 2])
+    with pytest.raises(DimensionMismatchError, match="weights must be"):
+        ModelParams(np.zeros((4, 6)), np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="models of different shape"):
+        w.distance(ModelParams.zeros(3, 2))
 
 
 # ------------------------------------------------------------------ fl loop

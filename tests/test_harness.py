@@ -561,6 +561,10 @@ def test_cli_error_funnel(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err and "message" in err
+    assert main(["sweep", "--configs", str(tmp_path / "none*.json")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FileNotFoundError"
+    assert err["message"].startswith("no config files match")
 
 
 def test_cli_rejects_misspelt_key(tmp_path, capsys):

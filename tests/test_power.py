@@ -108,6 +108,8 @@ def test_objective_rejects_nonpositive_power():
         objective(params, 0.0)
     with pytest.raises(InvalidParameterError):
         objective(params, -1.0)
+    with pytest.raises(InvalidParameterError, match="power must be positive"):
+        feasibility(params, 0.0, 1.0)
 
 
 def test_pair_params_validation():

@@ -194,7 +194,7 @@ def test_min_kl_tie_goes_to_lower_id():
         8: LabelDistribution(target.counts),
         0: LabelDistribution([40, 0, 0, 0, 0, 60]),
     }
-    p, q = normalize(dists[3]).probs, normalize(target).probs
+    p, q = normalize(dists[3]), normalize(target)
     assert np.sum(p * np.log(p / q)) < 0.0
     scores = _assert_scores_match_oracle(dists, dists, server, target)
     assert scores[3] == scores[8] == 0.0 < scores[0]

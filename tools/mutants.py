@@ -206,6 +206,55 @@ MUTATIONS = [
         "key=lambda u: topo.distance(u, server_id)",
         ["tests/test_scheduler.py"],
     ),
+    (
+        "scalar kl loses its clamp at zero",
+        "src/edgefed/divergence.py",
+        "    return max(value, 0.0)\n",
+        "    return value\n",
+        ["tests/test_divergence.py"],
+    ),
+    (
+        "kl accepts a zero reference entry",
+        "src/edgefed/divergence.py",
+        "    if np.any(q <= 0.0):\n",
+        "    if np.any(q < 0.0):\n",
+        ["tests/test_divergence.py"],
+    ),
+    (
+        "kl skips its shape check",
+        "src/edgefed/divergence.py",
+        "    if p.shape != q.shape:\n",
+        "    if False:\n",
+        ["tests/test_divergence.py"],
+    ),
+    (
+        "label histograms accept non-integer counts",
+        "src/edgefed/distributions.py",
+        "        if not np.issubdtype(arr.dtype, np.integer):\n",
+        "        if False:\n",
+        ["tests/test_distributions.py"],
+    ),
+    (
+        "Dirichlet draws are not renormalised",
+        "src/edgefed/distributions.py",
+        "    return draw / draw.sum()\n",
+        "    return draw\n",
+        ["tests/test_distributions.py"],
+    ),
+    (
+        "emitted JSON keys keep insertion order",
+        "src/edgefed/harness.py",
+        "json.dumps(payload, indent=2, sort_keys=True)",
+        "json.dumps(payload, indent=2)",
+        ["tests/test_byte_stability.py"],
+    ),
+    (
+        "config loading accepts non-finite numbers",
+        "src/edgefed/harness.py",
+        "    if isinstance(value, float) and not math.isfinite(value):\n",
+        "    if False:\n",
+        ["tests/test_harness.py"],
+    ),
 ]
 
 
