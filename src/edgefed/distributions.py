@@ -29,7 +29,7 @@ def _frozen_array(values, dtype) -> np.ndarray:
 def _trusted(cls, **arrays):
     """Build ``cls`` from fresh arrays, freezing them in place and skipping validation.
 
-    Only for arrays this module has just built, of the right dtype and shape,
+    Only for arrays the package has just built, of the right dtype and shape,
     that no caller can reach: marking them read-only is all the public
     constructor would add, so its checks and its copy are skipped.
     """
@@ -410,23 +410,38 @@ def normalize(dist: LabelDistribution) -> np.ndarray:
 
 
 def materialize(
-    dist: LabelDistribution, model: FeatureModel, rng: np.random.Generator
+    dists: Sequence[LabelDistribution], model: FeatureModel, rngs: Sequence[np.random.Generator]
 ) -> Dataset:
-    """Draw a concrete dataset realising a label histogram.
+    """Draw one dataset realising several label histograms, one stream each.
 
-    Exactly ``dist.counts[c]`` rows of class ``c`` are produced, in class
-    order, from the model's isotropic Gaussian for that class. The noise is
-    one (n, d) standard-normal block for all n rows, scaled by ``std`` and
-    shifted by each row's class mean; this draw order is part of the
-    byte contract, since every device's features depend on it.
+    Histogram k's block follows block k-1 and holds exactly
+    ``dists[k].counts[c]`` rows of class ``c``, in class order, from the
+    model's isotropic Gaussian for that class. The rows live in one
+    preallocated (n, d) buffer. Each block's noise is one standard-normal
+    draw from ``rngs[k]`` straight into the block, scaled by ``std`` and
+    shifted by each row's class mean. That draw order is part of the byte
+    contract, since every device's features depend on it: a block equals
+    ``materialize([dists[k]], model, [rngs[k]])`` bit for bit.
     """
-    if model.num_classes != dist.num_classes:
+    if len(dists) != len(rngs):
         raise DimensionMismatchError(
-            f"feature model covers {model.num_classes} classes, "
-            f"histogram has {dist.num_classes}"
+            f"need one stream per histogram, got {len(rngs)} for {len(dists)}"
         )
-    labels = np.repeat(np.arange(dist.num_classes, dtype=np.int64), dist.counts)
-    features = rng.standard_normal((labels.size, model.feat_dim))
-    features *= model.std
-    features += model.means[labels]
+    for dist in dists:
+        if dist.num_classes != model.num_classes:
+            raise DimensionMismatchError(
+                f"feature model covers {model.num_classes} classes, "
+                f"histogram has {dist.num_classes}"
+            )
+    counts = np.array([dist.counts for dist in dists], dtype=np.int64).reshape(-1)
+    classes = np.tile(np.arange(model.num_classes, dtype=np.int64), len(dists))
+    labels = np.repeat(classes, counts)
+    features = np.empty((labels.size, model.feat_dim))
+    stop = 0
+    for dist, rng in zip(dists, rngs):
+        start, stop = stop, stop + dist.total()
+        block = features[start:stop]
+        rng.standard_normal(out=block)
+        block *= model.std
+        block += model.means[labels[start:stop]]
     return _trusted(Dataset, features=features, labels=labels)

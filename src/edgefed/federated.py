@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Dataset, _frozen_array
+from .distributions import Dataset, _frozen_array, _trusted
 from .errors import (
     DimensionMismatchError,
     InvalidComparisonError,
@@ -112,9 +112,11 @@ class _Stack:
 
     Each chunk is a (C, width) buffer over consecutive datasets, each owning
     a column block. ``chunks`` holds, per chunk, its rows of the stack, its
-    width, each dataset's ``(index, features, columns)``, and the block
-    starts and label cells, all relative to the chunk. Labels are checked
-    against the class range here, once per stack, not per pass.
+    width, each dataset's ``(index, features, columns)``, the block starts
+    relative to the chunk, and the chunk's labels: its dataset's own labels
+    when it holds one, else the concatenation of its datasets'.
+    Labels are checked against the class range here, once per stack, not
+    per pass.
     """
 
     def __init__(self, datasets: Sequence[Dataset], num_classes: int):
@@ -123,13 +125,12 @@ class _Stack:
         sizes = [len(d) for d in datasets]
         if min(sizes) == 0:
             raise InvalidInputError("cannot evaluate a model on an empty dataset")
-        labels = np.concatenate([d.labels for d in datasets])
-        if labels.max() >= num_classes:
+        if max(int(d.labels.max()) for d in datasets) >= num_classes:
             raise InvalidInputError("label outside the model's class range")
         self.num_classes = num_classes
         self.sizes = np.array(sizes, dtype=np.float64)
         self.chunks = []
-        first = offset = 0
+        first = 0
         while first < len(sizes):
             stop, width = first + 1, sizes[first]
             while stop < len(sizes) and width + sizes[stop] <= _CHUNK_COLUMNS:
@@ -140,10 +141,11 @@ class _Stack:
                 (s, datasets[s].features, slice(a, a + sizes[s]))
                 for s, a in zip(range(first, stop), starts.tolist())
             ]
-            # Position of each sample's label cell in the flattened chunk.
-            cells = labels[offset : offset + width] * width + np.arange(width)
-            self.chunks.append((slice(first, stop), width, blocks, starts, cells))
-            first, offset = stop, offset + width
+            labels = datasets[first].labels if stop == first + 1 else np.concatenate(
+                [datasets[s].labels for s in range(first, stop)]
+            )
+            self.chunks.append((slice(first, stop), width, blocks, starts, labels))
+            first = stop
 
 
 def _softmax_pass(weights: np.ndarray, bias: np.ndarray, stack: _Stack, grads=True):
@@ -178,7 +180,9 @@ def _softmax_pass(weights: np.ndarray, bias: np.ndarray, stack: _Stack, grads=Tr
 
 def _chunk_pass(weights, bias, num_classes, chunk, losses, grad_w, grad_b):
     """Write one chunk's rows of the summed losses and, unless None, gradients."""
-    rows, width, blocks, starts, label_cells = chunk
+    rows, width, blocks, starts, labels = chunk
+    # Position of each sample's label cell in the flattened chunk.
+    label_cells = labels * width + np.arange(width)
     z = np.empty((num_classes, width))
     for s, x, cols in blocks:
         block = z[:, cols]
@@ -400,19 +404,18 @@ def iid_counterpart(
 
     The returned list has one dataset per input dataset with identical sizes,
     drawn without replacement from the pooled samples, which makes each part
-    an unbiased sample of the pooled distribution.
+    an unbiased sample of the pooled distribution. The parts are read-only
+    views of one permuted copy of the union.
     """
     union = Dataset.concat(list(datasets))
     order = rng.permutation(len(union))
-    feats = union.features[order]
-    labels = union.labels[order]
-    out = []
-    start = 0
-    for d in datasets:
-        stop = start + len(d)
-        out.append(Dataset(feats[start:stop], labels[start:stop]))
-        start = stop
-    return out
+    feats, labels = union.features[order], union.labels[order]
+    feats.flags.writeable = labels.flags.writeable = False
+    cuts = np.cumsum([len(d) for d in datasets])[:-1]
+    return [
+        _trusted(Dataset, features=f, labels=y)
+        for f, y in zip(np.split(feats, cuts), np.split(labels, cuts))
+    ]
 
 
 @dataclass(frozen=True)

@@ -267,21 +267,21 @@ def server_datasets_from_plan(
     """Materialise the planned transfers into per-server training sets.
 
     Device features are drawn from a stream keyed by device id, so the same
-    device carries the same samples no matter which policy selected it, and
-    one server's devices are materialised only when its set is built.
+    device carries the same samples no matter which policy selected it. Each
+    server's set is one ``materialize`` call over its devices in plan order,
+    drawn into one buffer when that server's set is built.
     """
     model = _feature_model(cfg)
     by_server: dict = {}
     for e in plan.entries:
         by_server.setdefault(e.server, []).append(topo.device(e.device))
     return [
-        Dataset.concat(
-            [
-                materialize(dev.dist, model, keyed_stream(cfg.seed, "data", dev.id))
-                for dev in by_server[s]
-            ]
+        materialize(
+            [dev.dist for dev in devices],
+            model,
+            [keyed_stream(cfg.seed, "data", dev.id) for dev in devices],
         )
-        for s in sorted(by_server)
+        for _, devices in sorted(by_server.items())
     ]
 
 
@@ -297,7 +297,7 @@ def iid_reference(cfg: ScenarioConfig, sizes, rng) -> list:
     out = []
     for n in sizes:
         hist = uniform_distribution(cfg.data.num_classes, int(n))
-        out.append(materialize(hist, model, rng))
+        out.append(materialize([hist], model, [rng]))
     return out
 
 

@@ -338,7 +338,7 @@ def test_normalize_arithmetic():
 
 def test_materialize_counts_and_labels():
     model = separated_feature_model(2, 4, 6.0, 1.0)
-    ds = materialize(LabelDistribution([5, 0]), model, default_rng(1))
+    ds = materialize([LabelDistribution([5, 0])], model, [default_rng(1)])
     assert len(ds) == 5
     assert np.all(ds.labels == 0)
     assert ds.feat_dim == 4
@@ -359,19 +359,26 @@ def test_feature_data_validation():
         separated_feature_model(4, 3, 6.0, 1.0)
     model = separated_feature_model(3, 4, 6.0, 1.0)
     with pytest.raises(DimensionMismatchError, match="feature model covers 3 classes"):
-        materialize(LabelDistribution([1, 1]), model, default_rng(1))
+        materialize([LabelDistribution([1, 1])], model, [default_rng(1)])
+    hist, streams = uniform_distribution(3, 6), [default_rng(1), default_rng(2)]
+    with pytest.raises(DimensionMismatchError, match="covers 3 classes, histogram has 2"):
+        materialize([hist, LabelDistribution([1, 1])], model, streams)
+    with pytest.raises(DimensionMismatchError, match="one stream per histogram, got 1 for 2"):
+        materialize([hist, hist], model, streams[:1])
+    with pytest.raises(DimensionMismatchError, match="one stream per histogram, got 2 for 1"):
+        materialize([hist], model, streams)
 
 
 def test_materialize_empty():
     model = separated_feature_model(3, 4, 6.0, 1.0)
-    ds = materialize(LabelDistribution([0, 0, 0]), model, default_rng(1))
+    ds = materialize([LabelDistribution([0, 0, 0])], model, [default_rng(1)])
     assert len(ds) == 0
 
 
 def test_materialize_separation_oracle():
     """With >= 6 sigma between class means a nearest-mean rule is near perfect."""
     model = separated_feature_model(4, 8, 6.0, 1.0)
-    ds = materialize(uniform_distribution(4, 1000), model, default_rng(42))
+    ds = materialize([uniform_distribution(4, 1000)], model, [default_rng(42)])
     centers = model.means
     d2 = ((ds.features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     pred = d2.argmin(axis=1)
@@ -380,8 +387,8 @@ def test_materialize_separation_oracle():
 
 def test_dataset_concat_roundtrip():
     model = separated_feature_model(3, 5, 6.0, 1.0)
-    a = materialize(uniform_distribution(3, 30), model, default_rng(3))
-    b = materialize(uniform_distribution(3, 12), model, default_rng(4))
+    a = materialize([uniform_distribution(3, 30)], model, [default_rng(3)])
+    b = materialize([uniform_distribution(3, 12)], model, [default_rng(4)])
     both = Dataset.concat([a, b])
     assert len(both) == 42
     assert np.array_equal(both.features[:30], a.features)
@@ -418,7 +425,7 @@ def test_materialize_equals_per_class_blocks(std):
     for seed, counts in enumerate(hists):
         dist = LabelDistribution(counts)
         fresh, old = default_rng(seed), default_rng(seed)
-        ds = materialize(dist, model, fresh)
+        ds = materialize([dist], model, [fresh])
         feats, labels = _materialize_per_class(dist, model, old)
         assert np.array_equal(ds.features, feats)
         assert ds.features.tobytes() == feats.tobytes()  # signed zeros too
@@ -428,9 +435,32 @@ def test_materialize_equals_per_class_blocks(std):
         assert _read_only(ds.features, ds.labels)
 
 
+def test_materialize_draws_each_histogram_from_its_stream():
+    """Several histograms, an empty one among them, equal the concatenated
+    one-histogram draws from the same streams, bit for bit, and leave each
+    stream where its own draw would."""
+    model = separated_feature_model(4, 6, 5.0, 1.5)
+    hists = [
+        LabelDistribution(c)
+        for c in ([3, 0, 2, 1], [0, 0, 0, 0], [0, 4, 0, 5], [2, 2, 2, 2])
+    ]
+    streams = [default_rng(seed) for seed in range(len(hists))]
+    ds = materialize(hists, model, streams)
+    alone = [materialize([h], model, [default_rng(seed)]) for seed, h in enumerate(hists)]
+    feats = np.concatenate([a.features for a in alone])
+    assert ds.features.tobytes() == feats.tobytes()
+    assert np.array_equal(ds.labels, np.concatenate([a.labels for a in alone]))
+    assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+    assert _read_only(ds.features, ds.labels)
+    for seed, (h, rng) in enumerate(zip(hists, streams)):
+        again = default_rng(seed)
+        materialize([h], model, [again])
+        assert rng.random() == again.random()
+
+
 def test_dataset_concat_is_read_only_and_owns_its_arrays():
     model = separated_feature_model(3, 5, 6.0, 1.0)
-    parts = [materialize(uniform_distribution(3, n), model, default_rng(n)) for n in (7, 0, 5)]
+    parts = [materialize([uniform_distribution(3, n)], model, [default_rng(n)]) for n in (7, 0, 5)]
     both = Dataset.concat(parts)
     assert _read_only(both.features, both.labels)
     assert not any(np.shares_memory(both.features, p.features) for p in parts)

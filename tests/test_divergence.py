@@ -117,7 +117,7 @@ def test_complement_clamps_excess():
 
 def _toy_dataset(seed, n=40, num_classes=3, dim=5):
     model = separated_feature_model(num_classes, dim, 3.0, 1.0)
-    return materialize(uniform_distribution(num_classes, n), model, default_rng(seed))
+    return materialize([uniform_distribution(num_classes, n)], model, [default_rng(seed)])
 
 
 def test_gradient_divergence_zero_for_same_data():
@@ -143,7 +143,7 @@ def test_gamma_rank_matches_kl_rank():
     ]
     model = separated_feature_model(10, 16, 3.0, 1.0)
     rng = default_rng(1)
-    datasets = [materialize(h, model, rng) for h in hists]
+    datasets = [materialize([h], model, [rng]) for h in hists]
     union = Dataset.concat(datasets)
     w = local_update(
         ModelParams.zeros(10, 16), union, TrainConfig(phi=0.05, local_steps=3, rounds=1)
@@ -162,7 +162,7 @@ def test_measure_gradient_divergences_shape():
     model = separated_feature_model(3, 5, 3.0, 1.0)
     rng = default_rng(21)
     hists = ([30, 5, 0], [2, 40, 9], [0, 3, 17], [11, 11, 12])
-    parts = [materialize(LabelDistribution(h), model, rng) for h in hists]
+    parts = [materialize([LabelDistribution(h)], model, [rng]) for h in hists]
     cfg = TrainConfig(phi=0.05, local_steps=2, rounds=4)
     paired = run_paired(parts, iid_counterpart(parts, default_rng(22)), cfg)
     snaps = paired.left_params[: cfg.rounds]
@@ -265,7 +265,7 @@ def _grouped_parts(seed, servers=4, per_server=120):
     for s in range(servers):
         counts = np.full(6, per_server // 12)
         counts[s % 6] += per_server - int(counts.sum())
-        out.append(materialize(LabelDistribution(counts), model, rng))
+        out.append(materialize([LabelDistribution(counts)], model, [rng]))
     return out
 
 

@@ -41,7 +41,7 @@ from oracles import aggregate, flatten, server_gradients
 
 def _dataset(seed, n=60, num_classes=4, dim=6, separation=6.0):
     model = separated_feature_model(num_classes, dim, separation, 1.0)
-    return materialize(uniform_distribution(num_classes, n), model, default_rng(seed))
+    return materialize([uniform_distribution(num_classes, n)], model, [default_rng(seed)])
 
 
 def _random_model(seed, num_classes=4, dim=6, scale=0.3):
@@ -503,8 +503,8 @@ def test_fl_matches_centralized_on_iid_splits():
     """Uniform splits of separable data train to near-centralized accuracy."""
     model = separated_feature_model(4, 8, 6.0, 1.0)
     rng = default_rng(40)
-    parts = [materialize(uniform_distribution(4, 100), model, rng) for _ in range(4)]
-    eval_set = materialize(uniform_distribution(4, 400), model, default_rng(41))
+    parts = [materialize([uniform_distribution(4, 100)], model, [rng]) for _ in range(4)]
+    eval_set = materialize([uniform_distribution(4, 400)], model, [default_rng(41)])
     cfg = TrainConfig(phi=0.05, local_steps=1, rounds=40)
     metrics, _ = run_fl(parts, cfg, eval_set)
     central_metrics, _ = run_fl([Dataset.concat(parts)], cfg, eval_set)
@@ -569,6 +569,21 @@ def test_iid_counterpart_preserves_sizes_and_union():
     assert np.array_equal(
         np.sort(union_a.features.ravel()), np.sort(union_b.features.ravel())
     )
+
+
+def test_iid_counterpart_parts_are_read_only_views_of_one_permuted_copy():
+    parts = [_dataset(s, n=30 + 5 * i) for i, s in enumerate((50, 51, 52))]
+    twin = iid_counterpart(parts, default_rng(53))
+    union = Dataset.concat(parts)
+    order = default_rng(53).permutation(len(union))
+    assert np.concatenate([t.features for t in twin]).tobytes() == union.features[order].tobytes()
+    assert np.array_equal(np.concatenate([t.labels for t in twin]), union.labels[order])
+    for name in ("features", "labels"):
+        base = getattr(twin[0], name).base
+        assert base is not None and not base.flags.writeable
+        for t in twin:
+            assert getattr(t, name).base is base and not getattr(t, name).flags.writeable
+        assert not any(np.shares_memory(base, getattr(p, name)) for p in parts)
 
 
 # --------------------------------------------------------------- paired runs

@@ -249,6 +249,20 @@ MUTATIONS = [
         ["tests/test_byte_stability.py"],
     ),
     (
+        "materialize draws every histogram from the first stream",
+        "src/edgefed/distributions.py",
+        "        rng.standard_normal(out=block)\n",
+        "        rngs[0].standard_normal(out=block)\n",
+        ["tests/test_distributions.py"],
+    ),
+    (
+        "label cells drop the column offset",
+        "src/edgefed/federated.py",
+        "    label_cells = labels * width + np.arange(width)\n",
+        "    label_cells = labels * width\n",
+        ["tests/test_federated.py"],
+    ),
+    (
         "config loading accepts non-finite numbers",
         "src/edgefed/harness.py",
         "    if isinstance(value, float) and not math.isfinite(value):\n",
