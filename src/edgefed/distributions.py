@@ -188,14 +188,6 @@ class Dataset:
     def feat_dim(self) -> int:
         return int(self.features.shape[1])
 
-    @staticmethod
-    def concat(parts: Sequence["Dataset"]) -> "Dataset":
-        if not parts:
-            raise InvalidInputError("cannot concatenate zero datasets")
-        feats = np.concatenate([p.features for p in parts], axis=0)
-        labels = np.concatenate([p.labels for p in parts], axis=0)
-        return _trusted(Dataset, features=feats, labels=labels)
-
 
 @dataclass(frozen=True)
 class FeatureModel:

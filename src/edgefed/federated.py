@@ -405,16 +405,25 @@ def iid_counterpart(
     The returned list has one dataset per input dataset with identical sizes,
     drawn without replacement from the pooled samples, which makes each part
     an unbiased sample of the pooled distribution. The parts are read-only
-    views of one permuted copy of the union.
+    views of one permuted copy, into which each server's rows are scattered
+    without building the union.
     """
-    union = Dataset.concat(list(datasets))
-    order = rng.permutation(len(union))
-    feats, labels = union.features[order], union.labels[order]
+    if not datasets:
+        raise InvalidInputError("need at least one dataset")
+    bounds = np.cumsum([0, *map(len, datasets)]).tolist()
+    order = rng.permutation(bounds[-1])
+    # Row j of the servers' union goes to row where[j] of the twin.
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    feats = np.empty((len(order), datasets[0].feat_dim))
+    labels = np.empty(len(order), dtype=np.int64)
+    for d, a, b in zip(datasets, bounds, bounds[1:]):
+        feats[where[a:b]] = d.features
+        labels[where[a:b]] = d.labels
     feats.flags.writeable = labels.flags.writeable = False
-    cuts = np.cumsum([len(d) for d in datasets])[:-1]
     return [
-        _trusted(Dataset, features=f, labels=y)
-        for f, y in zip(np.split(feats, cuts), np.split(labels, cuts))
+        _trusted(Dataset, features=feats[a:b], labels=labels[a:b])
+        for a, b in zip(bounds, bounds[1:])
     ]
 
 
@@ -425,9 +434,9 @@ class PairedRun:
     ``left_params``/``right_params`` hold T+1 snapshots each (index 0 is the
     shared initialisation). ``distances[t-1]`` is the parameter distance
     after round t. ``metrics`` holds the left run's ``RoundMetrics``, by the
-    rule ``run_fl`` uses. ``gradients[t]`` holds, per left server, the
-    ``loss_and_grad`` gradient at snapshot ``left_params[t]``, for t < T:
-    the gradient that the server's first local step of round t+1 took.
+    rule ``run_fl`` uses. ``gradients[t]``, for t < T, is the read-only pair of
+    stacked (n, C, d) weight and (n, C) bias gradients that the n left servers'
+    first local steps of round t+1 took at snapshot ``left_params[t]``.
     """
 
     left_params: tuple
@@ -470,7 +479,7 @@ def run_paired(
     for t, (weights, bias, (grad_w, grad_b), models) in enumerate(rounds, 1):
         arms.append(models)
         metrics.append(_round_metrics(t, weights[:n], bias[:n], left_stack, models[0], eval_set))
-        gradients.append(tuple(ModelParams(w, b) for w, b in zip(grad_w[:n], grad_b[:n])))
+        gradients.append(tuple(_frozen_array(g[:n], np.float64) for g in (grad_w, grad_b)))
     left, right = (tuple(arm) for arm in zip(*arms))
     distances = tuple(w.distance(v) for w, v in arms[1:])
     return PairedRun(left, right, distances, cfg, tuple(metrics), tuple(gradients))

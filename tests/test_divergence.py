@@ -38,6 +38,7 @@ from edgefed.federated import (
 
 from oracles import (
     complement,
+    concat,
     gradient_divergence,
     label_histogram,
     measure_gradient_divergences,
@@ -129,7 +130,7 @@ def test_gradient_divergence_zero_for_same_data():
 def test_gradient_divergence_mean_invariance():
     # doubling every sample leaves the mean gradient unchanged
     ds = _toy_dataset(2)
-    doubled = Dataset.concat([ds, ds])
+    doubled = concat([ds, ds])
     w = ModelParams(default_rng(3).normal(size=(3, 5)), np.zeros(3))
     assert gradient_divergence(w, doubled, ds) < 1e-12
 
@@ -144,7 +145,7 @@ def test_gamma_rank_matches_kl_rank():
     model = separated_feature_model(10, 16, 3.0, 1.0)
     rng = default_rng(1)
     datasets = [materialize([h], model, [rng]) for h in hists]
-    union = Dataset.concat(datasets)
+    union = concat(datasets)
     w = local_update(
         ModelParams.zeros(10, 16), union, TrainConfig(phi=0.05, local_steps=3, rounds=1)
     )
@@ -168,7 +169,7 @@ def test_measure_gradient_divergences_shape():
     snaps = paired.left_params[: cfg.rounds]
     mat = measure_gradient_divergences(snaps, parts)
     assert mat.shape == (4, 4)
-    union = Dataset.concat(parts)
+    union = concat(parts)
     for i, w in enumerate(snaps):
         for s, d in enumerate(parts):
             assert mat[i, s] == gradient_divergence(w, d, union), (i, s)
@@ -258,13 +259,14 @@ def test_drift_bound_validation():
 # -------------------------------------------------------------------- audits
 
 
-def _grouped_parts(seed, servers=4, per_server=120):
+def _grouped_parts(seed, sizes=(120, 120, 120, 120)):
+    """One server per size, each holding mostly one label."""
     model = separated_feature_model(6, 8, 4.0, 1.0)
     rng = default_rng(seed)
     out = []
-    for s in range(servers):
-        counts = np.full(6, per_server // 12)
-        counts[s % 6] += per_server - int(counts.sum())
+    for s, size in enumerate(sizes):
+        counts = np.full(6, size // 12)
+        counts[s % 6] += size - int(counts.sum())
         out.append(materialize([LabelDistribution(counts)], model, [rng]))
     return out
 
@@ -290,7 +292,7 @@ def test_audit_phi_zero_is_degenerate():
 def test_audit_skewed_versus_balanced_holds():
     # desk-size version of the full acceptance audit
     left = _grouped_parts(7)
-    union = Dataset.concat(left)
+    union = concat(left)
     order = default_rng(11).permutation(len(union))
     feats, labels = union.features[order], union.labels[order]
     right, start = [], 0
@@ -303,6 +305,28 @@ def test_audit_skewed_versus_balanced_holds():
         assert report.all_hold
         # the gap a skewed population opens is genuinely nonzero
         assert max(paired.distances) > 0.0
+
+
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_audit_gammas_and_bounds_match_the_union_oracle(local_steps):
+    """The audit's pooled gradient, averaged from the paired run's server
+    gradients, is the gradient on the servers' union: on servers of skewed
+    sizes, every divergence level and every bound matches the oracle that
+    takes a pass over the union."""
+    left = _grouped_parts(12, sizes=(40, 160, 90, 250))
+    cfg = TrainConfig(phi=0.05, local_steps=local_steps, rounds=10)
+    paired = run_paired(left, iid_counterpart(left, default_rng(13)), cfg)
+    report = audit_drift_bound(paired, left)
+    running = np.maximum.accumulate(
+        measure_gradient_divergences(paired.left_params[: cfg.rounds], left), axis=0
+    )
+    np.testing.assert_allclose(report.gammas, running[-1], rtol=1e-12, atol=0)
+    sizes = [len(d) for d in left]
+    lipschitz = lipschitz_bound(left).per_server
+    bound = 0.0
+    for t, check in enumerate(report.checks, 1):
+        bound = drift_bound(bound, cfg.phi, sizes, running[t - 1], lipschitz, t)
+        assert math.isclose(check.rhs, bound, rel_tol=1e-12, abs_tol=0.0), t
 
 
 def test_audit_rejects_incomparable_runs():
@@ -320,7 +344,7 @@ def test_audit_rejects_incomparable_runs():
     with pytest.raises(InvalidComparisonError, match="gradients do not match round count"):
         audit_drift_bound(fewer, parts)
     g = paired.gradients
-    narrower = dataclasses.replace(paired, gradients=(g[0], g[1][:-1], *g[2:]))
+    narrower = dataclasses.replace(paired, gradients=(g[0], tuple(a[:-1] for a in g[1]), *g[2:]))
     with pytest.raises(InvalidComparisonError, match="one server gradient per server dataset"):
         audit_drift_bound(narrower, parts)
 

@@ -36,7 +36,7 @@ from edgefed.federated import (
 )
 from edgefed.rng import substream
 
-from oracles import aggregate, flatten, server_gradients
+from oracles import aggregate, concat, flatten, server_gradients
 
 
 def _dataset(seed, n=60, num_classes=4, dim=6, separation=6.0):
@@ -86,7 +86,7 @@ def _unflatten(base: ModelParams, delta: np.ndarray) -> ModelParams:
 
 def test_duplicated_data_changes_nothing():
     ds = _dataset(5)
-    both = Dataset.concat([ds, ds])
+    both = concat([ds, ds])
     w = _random_model(6)
     la, ga = loss_and_grad(w, ds)
     lb, gb = loss_and_grad(w, both)
@@ -303,11 +303,12 @@ def test_paired_metrics_and_gradients_come_from_the_left_run(local_steps):
     # Each round's first local step takes the gradients at its start model.
     assert len(paired.gradients) == cfg.rounds
     oracle = server_gradients(paired.left_params[: cfg.rounds], left)
-    for t, (got, ref) in enumerate(zip(paired.gradients, oracle)):
-        assert len(got) == len(ref) == len(left)
-        for s, (g, r) in enumerate(zip(got, ref)):
-            assert np.array_equal(g.weights, r.weights), (t, s)
-            assert np.array_equal(g.bias, r.bias), (t, s)
+    for t, ((grad_w, grad_b), ref) in enumerate(zip(paired.gradients, oracle)):
+        assert len(grad_w) == len(grad_b) == len(ref) == len(left)
+        assert not (grad_w.flags.writeable or grad_b.flags.writeable)
+        for s, r in enumerate(ref):
+            assert np.array_equal(grad_w[s], r.weights), (t, s)
+            assert np.array_equal(grad_b[s], r.bias), (t, s)
 
 
 @pytest.mark.parametrize("chunk_columns", sorted(SMALL_CHUNKS))
@@ -507,7 +508,7 @@ def test_fl_matches_centralized_on_iid_splits():
     eval_set = materialize([uniform_distribution(4, 400)], model, [default_rng(41)])
     cfg = TrainConfig(phi=0.05, local_steps=1, rounds=40)
     metrics, _ = run_fl(parts, cfg, eval_set)
-    central_metrics, _ = run_fl([Dataset.concat(parts)], cfg, eval_set)
+    central_metrics, _ = run_fl([concat(parts)], cfg, eval_set)
     fl_acc = metrics[-1].accuracy
     central_acc = central_metrics[-1].accuracy
     assert central_acc >= 0.97
@@ -563,18 +564,23 @@ def test_iid_counterpart_preserves_sizes_and_union():
     parts = [_dataset(s, n=30 + 5 * i) for i, s in enumerate((50, 51, 52))]
     twin = iid_counterpart(parts, default_rng(53))
     assert [len(d) for d in twin] == [len(d) for d in parts]
-    union_a = Dataset.concat(parts)
-    union_b = Dataset.concat(twin)
+    union_a = concat(parts)
+    union_b = concat(twin)
     assert np.array_equal(np.sort(union_a.labels), np.sort(union_b.labels))
     assert np.array_equal(
         np.sort(union_a.features.ravel()), np.sort(union_b.features.ravel())
     )
 
 
+def test_iid_counterpart_needs_a_dataset():
+    with pytest.raises(InvalidInputError, match="need at least one dataset"):
+        iid_counterpart([], default_rng(53))
+
+
 def test_iid_counterpart_parts_are_read_only_views_of_one_permuted_copy():
     parts = [_dataset(s, n=30 + 5 * i) for i, s in enumerate((50, 51, 52))]
     twin = iid_counterpart(parts, default_rng(53))
-    union = Dataset.concat(parts)
+    union = concat(parts)
     order = default_rng(53).permutation(len(union))
     assert np.concatenate([t.features for t in twin]).tobytes() == union.features[order].tobytes()
     assert np.array_equal(np.concatenate([t.labels for t in twin]), union.labels[order])

@@ -172,6 +172,13 @@ MUTATIONS = [
         ["tests/test_federated.py"],
     ),
     (
+        "paired gradients come from the right arm",
+        "src/edgefed/federated.py",
+        "_frozen_array(g[:n], np.float64)",
+        "_frozen_array(g[n:], np.float64)",
+        ["tests/test_federated.py"],
+    ),
+    (
         "paired metrics score the right arm",
         "src/edgefed/federated.py",
         "_round_metrics(t, weights[:n], bias[:n], left_stack, models[0], eval_set)",
@@ -225,6 +232,13 @@ MUTATIONS = [
         "src/edgefed/divergence.py",
         "    if p.shape != q.shape:\n",
         "    if False:\n",
+        ["tests/test_divergence.py"],
+    ),
+    (
+        "the audit's pooled gradient weighs every server equally",
+        "src/edgefed/divergence.py",
+        "        pooled = _average(grad_w, grad_b, sizes)\n",
+        "        pooled = _average(grad_w, grad_b, [1] * len(sizes))\n",
         ["tests/test_divergence.py"],
     ),
     (

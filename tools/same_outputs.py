@@ -5,10 +5,12 @@
 Runs the golden, desk_audit and full_offload workload functions of
 ``perfbench/worker.py`` once for each of seeds 1-10, with no timing loop,
 and prints the sha256 of their checked outputs: the benchmark's
-``artifacts_sha256``. Each checkout runs in one subprocess, in the
-environment its own ``perfbench/run.py`` gives a worker (its ``src/`` on
-``PYTHONPATH``, BLAS on one thread), on its own ``perfbench/`` and scenario
-files, and writes no bytecode there.
+``artifacts_sha256``. It also hashes each file a workload writes, by its
+path under the workload's output directory (``3/summary.json``), and a
+DIFFERS line names the files whose hashes differ. Each checkout runs in
+one subprocess, in the environment its own ``perfbench/run.py`` gives a
+worker (its ``src/`` on ``PYTHONPATH``, BLAS on one thread), on its own
+``perfbench/`` and scenario files, and writes no bytecode there.
 
 ``--parent`` names the parent commit of the change: a checkout directory or
 a git revision of this repository, exported with ``git archive`` into a
@@ -45,13 +47,19 @@ for name in sys.argv[2].split(","):
             outputs, _, _, failures = worker.WORKLOADS[name](
                 dataclasses.replace(base, seed=seed), pathlib.Path(out)
             )
+            files = {
+                path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(pathlib.Path(out).rglob("*"))
+                if path.is_file()
+            }
         digest = hashlib.sha256(outputs).hexdigest()
-        print(json.dumps({"workload": name, "seed": seed, "sha256": digest, "failures": failures}))
+        row = {"workload": name, "seed": seed, "sha256": digest, "failures": failures}
+        print(json.dumps({**row, "files": files}))
 """
 
 
 def digests(checkout):
-    """``{(workload, seed): (sha256, failures)}`` for one checkout."""
+    """``{(workload, seed): (sha256, failures, {file: sha256})}`` for one checkout."""
     spec = importlib.util.spec_from_file_location("run", checkout / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
@@ -65,7 +73,7 @@ def digests(checkout):
         check=True,
     )
     rows = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
-    return {(r["workload"], r["seed"]): (r["sha256"], r["failures"]) for r in rows}
+    return {(r["workload"], r["seed"]): (r["sha256"], r["failures"], r["files"]) for r in rows}
 
 
 def main():
@@ -86,10 +94,14 @@ def main():
     after = digests(ROOT)
     bad = 0
     for key in sorted(set(before) | set(after)):
-        (old, old_fails), (new, new_fails) = (
-            side.get(key, ("missing", ["missing"])) for side in (before, after)
+        (old, old_fails, old_files), (new, new_fails, new_files) = (
+            side.get(key, ("missing", ["missing"], {})) for side in (before, after)
         )
         verdict = "same" if old == new else "DIFFERS"
+        names = old_files.keys() | new_files.keys()
+        moved = sorted(f for f in names if old_files.get(f) != new_files.get(f))
+        if moved:
+            verdict += f" files={','.join(moved)}"
         if old_fails or new_fails:
             verdict += f" failures={sorted(set(old_fails) | set(new_fails))}"
         bad += verdict != "same"
