@@ -247,26 +247,6 @@ def uniform_distribution(num_classes: int, total: int) -> LabelDistribution:
     return LabelDistribution(counts)
 
 
-def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> np.ndarray:
-    """Draw one proportion vector from Dir(alpha).
-
-    Args:
-        alpha: positive concentration per class, at least two entries.
-        rng: source of randomness.
-
-    Returns:
-        The drawn point on the simplex, a float64 row.
-    """
-    arr = np.asarray(alpha, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise InvalidParameterError("alpha needs at least two classes")
-    if np.any(arr <= 0):
-        raise InvalidParameterError("Dirichlet concentrations must be positive")
-    draw = rng.dirichlet(arr)
-    # numpy's draw can miss a unit sum by rounding; renormalise it.
-    return draw / draw.sum()
-
-
 def _high_class_picker(profile: GroupedProfile, rng: np.random.Generator):
     """Return a function that draws one client's high-class mask, a (C,) bool row.
 
@@ -361,11 +341,12 @@ def generate_clients(
     if num_clients <= 0:
         raise InvalidParameterError("num_clients must be positive")
     if isinstance(profile, DirichletProfile):
-        n, alpha = profile.samples_per_client, profile.alpha
-        counts = np.array(
-            [rng.multinomial(n, sample_dirichlet(alpha, rng)) for _ in range(num_clients)],
-            dtype=np.int64,
-        )
+        n, alpha = profile.samples_per_client, np.array(profile.alpha)
+        counts = np.empty((num_clients, alpha.size), dtype=np.int64)
+        for row in counts:
+            draw = rng.dirichlet(alpha)
+            # numpy's draw can miss a unit sum by rounding; renormalise it.
+            row[:] = rng.multinomial(n, draw / draw.sum())
     elif isinstance(profile, GroupedProfile):
         counts = _grouped_counts(profile, num_clients, rng)
     else:

@@ -9,7 +9,7 @@ transfers in other cells appear as interference at the receiving server.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,12 +110,16 @@ class Topology:
 
     Every device and server id is its position in ``devices`` or
     ``servers``, so ``gains[u, s]`` is the linear power gain from device
-    ``u`` to server ``s``.
+    ``u`` to server ``s``. Row ``u`` of the read-only ``counts`` is device
+    ``u``'s label histogram and ``home[u]`` its home server, both indexed
+    once from ``devices``, whose histograms must count the same classes.
     """
 
     servers: tuple
     devices: tuple
     gains: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False)
+    home: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = _frozen_array(self.gains, np.float64)
@@ -125,7 +129,15 @@ class Topology:
             for i, item in enumerate(items):
                 if item.id != i:
                     raise InvalidInputError(f"{kind} at position {i} has id {item.id}")
+        classes = sorted({d.dist.num_classes for d in self.devices})
+        if len(classes) > 1:
+            raise InvalidInputError(f"device histograms count different classes: {classes}")
+        shape = (len(self.devices), max(classes, default=0))
+        counts = np.reshape([d.dist.counts for d in self.devices], shape)
+        home = [d.home_server for d in self.devices]
         object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "counts", _frozen_array(counts, np.int64))
+        object.__setattr__(self, "home", _frozen_array(home, np.int64))
 
     def device(self, device_id: int) -> Device:
         if not (0 <= device_id < len(self.devices)):

@@ -5,8 +5,8 @@ label distribution is closest, in KL divergence, to what the server still
 needs to reach the global target, scoring all remaining candidates in one
 array op per pick. Two baselines are provided: nearest device first, one
 sort per server, and uniformly random order, one draw per step. Each policy
-is an order of device ids over one (N x C) count matrix, stacked once per
-run. All policies trace the KL divergence of the growing server dataset
+is an order of device ids over the topology's (N x C) count matrix.
+All policies trace the KL divergence of the growing server dataset
 against the global target after every merge; each server's trace and plan
 cut come from one cumulative sum over its picked devices' count rows.
 """
@@ -115,9 +115,7 @@ def serviceable_set(server_id: int, topo: Topology) -> list:
     A device qualifies when the server is its home (nearest) server and it
     actually holds samples.
     """
-    return [
-        d.id for d in topo.devices if d.home_server == server_id and d.dist.total() > 0
-    ]
+    return np.flatnonzero((topo.home == server_id) & (topo.counts.sum(axis=1) > 0)).tolist()
 
 
 def _kl_rows(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -209,10 +207,9 @@ def run_scheduler(
     """
     if cfg.policy == Policy.RANDOM and rng is None:
         raise InvalidParameterError("the random policy needs an rng")
-    if any(d.dist.num_classes != cfg.target.num_classes for d in topo.devices):
+    counts = topo.counts
+    if topo.devices and counts.shape[1] != cfg.target.num_classes:
         raise DimensionMismatchError("device histograms and target differ in class count")
-    counts = np.array([d.dist.counts for d in topo.devices], dtype=np.int64)
-    counts = counts.reshape(len(topo.devices), cfg.target.num_classes)  # (0, C) if none
     sizes = counts.sum(axis=1).tolist()
     target_probs = normalize(cfg.target)
     trace_rows = []

@@ -23,6 +23,26 @@ from edgefed.power import PairParams, _pair_params, objective
 from edgefed.scheduler import OffloadTrace
 
 
+def sample_dirichlet(alpha: Sequence[float], rng: np.random.Generator) -> np.ndarray:
+    """Draw one proportion vector from Dir(alpha).
+
+    Args:
+        alpha: positive concentration per class, at least two entries.
+        rng: source of randomness.
+
+    Returns:
+        The drawn point on the simplex, a float64 row.
+    """
+    arr = np.asarray(alpha, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 2:
+        raise InvalidParameterError("alpha needs at least two classes")
+    if np.any(arr <= 0):
+        raise InvalidParameterError("Dirichlet concentrations must be positive")
+    draw = rng.dirichlet(arr)
+    # numpy's draw can miss a unit sum by rounding; renormalise it.
+    return draw / draw.sum()
+
+
 def merge(dist: LabelDistribution, other: LabelDistribution) -> LabelDistribution:
     """Elementwise sum of two histograms over the same class set."""
     if other.num_classes != dist.num_classes:

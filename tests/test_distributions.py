@@ -15,7 +15,6 @@ from edgefed.distributions import (
     generate_clients,
     materialize,
     normalize,
-    sample_dirichlet,
     separated_feature_model,
     uniform_distribution,
 )
@@ -25,7 +24,7 @@ from edgefed.errors import (
     InvalidParameterError,
 )
 
-from oracles import concat, label_histogram, merge
+from oracles import concat, label_histogram, merge, sample_dirichlet
 
 
 def _read_only(*arrays):
@@ -131,6 +130,28 @@ def test_dirichlet_clients_equal_the_per_client_draws():
     assert [c.counts.tolist() for c in got] == want
     assert rng.random() == oracle_rng.random()
     assert all(c.counts.dtype == np.int64 and _read_only(c.counts) for c in got)
+
+
+class _RecordingRng:
+    """A generator that records the proportions each multinomial draw gets."""
+
+    def __init__(self, rng):
+        self.rng, self.pvals = rng, []
+
+    def dirichlet(self, alpha):
+        return self.rng.dirichlet(alpha)
+
+    def multinomial(self, n, pvals):
+        self.pvals.append(pvals)
+        return self.rng.multinomial(n, pvals)
+
+
+def test_dirichlet_clients_draw_from_renormalised_proportions():
+    # seed 2's Dir(0.5 x 10) draw misses a unit sum, so renormalising moves it
+    profile = DirichletProfile(alpha=(0.5,) * 10)
+    spy = _RecordingRng(default_rng(2))
+    generate_clients(profile, 1, spy)
+    assert (spy.pvals[0] == sample_dirichlet(profile.alpha, default_rng(2))).all()
 
 
 def test_dirichlet_low_alpha_concentrates_mass():

@@ -1,12 +1,13 @@
 """Topology placement, channel model, OFDMA bookkeeping, and plan costing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from edgefed.distributions import uniform_distribution
+from edgefed.distributions import LabelDistribution, uniform_distribution
 from edgefed.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -136,6 +137,36 @@ def test_topology_ids_are_positions():
     ):
         with pytest.raises(UnknownPairError):
             lookup()
+
+
+def test_topology_indexes_counts_and_homes_once():
+    dists = [LabelDistribution([u, 2 * u, 3]) for u in range(6)]
+    topo = place_topology(
+        TopologyParams(num_servers=2, devices_per_server=3, cell_radius=200.0),
+        default_rng(5),
+        dists=dists,
+    )
+    assert topo.counts.dtype == np.int64 and topo.home.dtype == np.int64
+    assert not topo.counts.flags.writeable and not topo.home.flags.writeable
+    assert topo.counts.tolist() == [d.dist.counts.tolist() for d in topo.devices]
+    assert topo.home.tolist() == [d.home_server for d in topo.devices]
+    # a replaced device rebuilds its row and leaves the others
+    moved = dataclasses.replace(
+        topo.devices[4], dist=LabelDistribution([9, 9, 9]), home_server=0
+    )
+    changed = dataclasses.replace(
+        topo, devices=topo.devices[:4] + (moved,) + topo.devices[5:]
+    )
+    assert changed.counts[4].tolist() == [9, 9, 9] and changed.home[4] == 0
+    assert np.array_equal(np.delete(changed.counts, 4, 0), np.delete(topo.counts, 4, 0))
+    assert topo.counts[4].tolist() == [4, 8, 3] and topo.home[4] == 1
+    mixed = _single_cell_topology([[1e-9], [2e-9]]).devices
+    mixed = (mixed[0], dataclasses.replace(mixed[1], dist=LabelDistribution([1, 2, 3])))
+    one_line = r"^device histograms count different classes: \[2, 3\]$"
+    with pytest.raises(InvalidInputError, match=one_line):
+        Topology(topo.servers[:1], mixed, np.ones((2, 1)))
+    empty = Topology(topo.servers, (), np.zeros((0, 2)))
+    assert empty.counts.shape == (0, 0) and empty.home.shape == (0,)
 
 
 def _place_pairwise(num_servers, devices_per_server, cell_radius, rng, **kw):

@@ -74,6 +74,13 @@ MUTATIONS = [
         ["tests/test_network.py"],
     ),
     (
+        "topology skips its class-count check",
+        "src/edgefed/network.py",
+        "        if len(classes) > 1:\n",
+        "        if False:\n",
+        ["tests/test_network.py"],
+    ),
+    (
         "trusted arrays stay writeable",
         "src/edgefed/distributions.py",
         "        arr.flags.writeable = False\n        object.__setattr__(out, name, arr)",
@@ -93,6 +100,13 @@ MUTATIONS = [
         "        try:\n            cfg = ScenarioConfig.from_json(path)\n",
         "        cfg = ScenarioConfig.from_json(path)\n        try:\n",
         ["tests/test_harness.py"],
+    ),
+    (
+        "serviceable set keeps devices without samples",
+        "src/edgefed/scheduler.py",
+        "topo.counts.sum(axis=1) > 0",
+        "topo.counts.sum(axis=1) >= 0",
+        ["tests/test_scheduler.py"],
     ),
     (
         "min-KL tail sort is not stable",
@@ -251,8 +265,8 @@ MUTATIONS = [
     (
         "Dirichlet draws are not renormalised",
         "src/edgefed/distributions.py",
-        "    return draw / draw.sum()\n",
-        "    return draw\n",
+        "rng.multinomial(n, draw / draw.sum())",
+        "rng.multinomial(n, draw)",
         ["tests/test_distributions.py"],
     ),
     (
