@@ -318,7 +318,7 @@ def _grouped_counts(
 
 def generate_clients(
     profile: NonIidProfile, num_clients: int, rng: np.random.Generator
-) -> list:
+) -> np.ndarray:
     """Generate one label histogram per client under the given profile.
 
     A Dirichlet client draws its proportions, then its multinomial counts.
@@ -326,8 +326,7 @@ def generate_clients(
     class order. The bytes of a grouped population therefore depend on
     numpy's ``Generator.choice`` algorithm, which this function reproduces
     for one group with ``random`` (weighted) or ``integers`` (uniform), and
-    on those two methods' algorithms. Either way the counts form one
-    read-only (num_clients, C) int64 matrix, and each histogram views a row.
+    on those two methods' algorithms.
 
     Args:
         profile: Dirichlet or grouped skew description.
@@ -336,7 +335,7 @@ def generate_clients(
             equal populations.
 
     Returns:
-        List of ``LabelDistribution``, one per client.
+        Read-only (num_clients, C) int64 count matrix, one row per client.
     """
     if num_clients <= 0:
         raise InvalidParameterError("num_clients must be positive")
@@ -352,7 +351,7 @@ def generate_clients(
     else:
         raise InvalidParameterError(f"unknown profile type {type(profile).__name__}")
     counts.flags.writeable = False
-    return [_trusted(LabelDistribution, counts=row) for row in counts]
+    return counts
 
 
 # The pseudo-count ``smoothed_rows`` gives every class.
@@ -383,36 +382,32 @@ def normalize(dist: LabelDistribution) -> np.ndarray:
 
 
 def materialize(
-    dists: Sequence[LabelDistribution], model: FeatureModel, rngs: Sequence[np.random.Generator]
+    counts: np.ndarray, model: FeatureModel, rngs: Sequence[np.random.Generator]
 ) -> Dataset:
-    """Draw one dataset realising several label histograms, one stream each.
+    """Draw one dataset realising the rows of a (k, C) count matrix, one stream each.
 
-    Histogram k's block follows block k-1 and holds exactly
-    ``dists[k].counts[c]`` rows of class ``c``, in class order, from the
-    model's isotropic Gaussian for that class. The rows live in one
-    preallocated (n, d) buffer. Each block's noise is one standard-normal
-    draw from ``rngs[k]`` straight into the block, scaled by ``std`` and
-    shifted by each row's class mean. That draw order is part of the byte
-    contract, since every device's features depend on it: a block equals
-    ``materialize([dists[k]], model, [rngs[k]])`` bit for bit.
+    Row k's block follows block k-1 in one preallocated (n, d) buffer and
+    holds exactly ``counts[k, c]`` samples of class ``c``, in class order.
+    Its noise is one standard-normal draw from ``rngs[k]`` straight into the
+    block, scaled by ``std`` and shifted by each sample's class mean. That
+    draw order is part of the byte contract, since every device's features
+    depend on it: a block equals ``materialize(counts[k:k + 1], model,
+    [rngs[k]])`` bit for bit.
     """
-    if len(dists) != len(rngs):
+    counts = np.asarray(counts)
+    if len(counts) != len(rngs):
         raise DimensionMismatchError(
-            f"need one stream per histogram, got {len(rngs)} for {len(dists)}"
+            f"need one stream per histogram, got {len(rngs)} for {len(counts)}"
         )
-    for dist in dists:
-        if dist.num_classes != model.num_classes:
-            raise DimensionMismatchError(
-                f"feature model covers {model.num_classes} classes, "
-                f"histogram has {dist.num_classes}"
-            )
-    counts = np.array([dist.counts for dist in dists], dtype=np.int64).reshape(-1)
-    classes = np.tile(np.arange(model.num_classes, dtype=np.int64), len(dists))
-    labels = np.repeat(classes, counts)
+    if counts.ndim != 2 or counts.shape[1] != model.num_classes:
+        raise DimensionMismatchError(
+            f"feature model covers {model.num_classes} classes, counts have shape {counts.shape}"
+        )
+    classes = np.tile(np.arange(model.num_classes, dtype=np.int64), len(counts))
+    labels = np.repeat(classes, counts.reshape(-1))
     features = np.empty((labels.size, model.feat_dim))
-    stop = 0
-    for dist, rng in zip(dists, rngs):
-        start, stop = stop, stop + dist.total()
+    stops = np.cumsum(counts.sum(axis=1)).tolist()
+    for rng, start, stop in zip(rngs, [0, *stops], stops):
         block = features[start:stop]
         rng.standard_normal(out=block)
         block *= model.std

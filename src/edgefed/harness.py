@@ -241,15 +241,14 @@ def _versions() -> dict:
 
 
 def build_population(cfg: ScenarioConfig):
-    """Generate client histograms and place the topology for a scenario."""
-    data_rng = substream(cfg.seed, "data")
-    topo_rng = substream(cfg.seed, "topology")
+    """Generate the client count matrix and place the topology for a scenario."""
     total_devices = cfg.topology.num_servers * cfg.topology.devices_per_server
-    dists = generate_clients(cfg.data.profile, total_devices, data_rng)
+    counts = generate_clients(cfg.data.profile, total_devices, substream(cfg.seed, "data"))
+    topo_rng = substream(cfg.seed, "topology")
     topo = place_topology(
-        cfg.topology, topo_rng, dists=dists, bits_per_sample=cfg.data.bits_per_sample
+        cfg.topology, topo_rng, counts=counts, bits_per_sample=cfg.data.bits_per_sample
     )
-    return dists, topo
+    return counts, topo
 
 
 def _feature_model(cfg: ScenarioConfig):
@@ -268,20 +267,18 @@ def server_datasets_from_plan(
 
     Device features are drawn from a stream keyed by device id, so the same
     device carries the same samples no matter which policy selected it. Each
-    server's set is one ``materialize`` call over its devices in plan order,
-    drawn into one buffer when that server's set is built.
+    server's set is one ``materialize`` call over its devices' count rows,
+    in plan order, drawn into one buffer when that server's set is built. A
+    pair the topology does not hold raises ``UnknownPairError``.
     """
     model = _feature_model(cfg)
     by_server: dict = {}
     for e in plan.entries:
-        by_server.setdefault(e.server, []).append(topo.device(e.device))
+        topo.check_pair(e.device, e.server)
+        by_server.setdefault(e.server, []).append(e.device)
     return [
-        materialize(
-            [dev.dist for dev in devices],
-            model,
-            [keyed_stream(cfg.seed, "data", dev.id) for dev in devices],
-        )
-        for _, devices in sorted(by_server.items())
+        materialize(topo.counts[ids], model, [keyed_stream(cfg.seed, "data", u) for u in ids])
+        for _, ids in sorted(by_server.items())
     ]
 
 
@@ -294,11 +291,8 @@ def iid_reference(cfg: ScenarioConfig, sizes, rng) -> list:
     existing capture.
     """
     model = _feature_model(cfg)
-    out = []
-    for n in sizes:
-        hist = uniform_distribution(cfg.data.num_classes, int(n))
-        out.append(materialize([hist], model, [rng]))
-    return out
+    hists = [uniform_distribution(cfg.data.num_classes, int(n)).counts for n in sizes]
+    return [materialize([h], model, [rng]) for h in hists]
 
 
 def evaluation_set(cfg: ScenarioConfig) -> Dataset:

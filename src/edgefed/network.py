@@ -9,12 +9,12 @@ transfers in other cells appear as interference at the receiving server.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import LabelDistribution, _frozen_array, uniform_distribution
+from .distributions import LabelDistribution, _frozen_array, _trusted
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -106,55 +106,70 @@ class Device:
 
 @dataclass(frozen=True)
 class Topology:
-    """Placed servers and devices with frozen channel gains.
+    """Placed servers and a population of devices held as arrays, one row each.
 
-    Every device and server id is its position in ``devices`` or
-    ``servers``, so ``gains[u, s]`` is the linear power gain from device
-    ``u`` to server ``s``. Row ``u`` of the read-only ``counts`` is device
-    ``u``'s label histogram and ``home[u]`` its home server, both indexed
-    once from ``devices``, whose histograms must count the same classes.
+    Every server id is its position in ``servers``, and device ``u`` is
+    row ``u`` of every array: ``positions[u]`` its (x, y), ``counts[u]``
+    its label histogram, ``home[u]`` its home server, ``data_bits[u]`` its
+    payload and ``gains[u, s]`` the linear power gain from it to server
+    ``s``. Each array is kept as a read-only copy.
     """
 
     servers: tuple
-    devices: tuple
+    positions: np.ndarray
+    counts: np.ndarray
+    home: np.ndarray
+    data_bits: np.ndarray
     gains: np.ndarray
-    counts: np.ndarray = field(init=False, repr=False)
-    home: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        g = _frozen_array(self.gains, np.float64)
-        if g.shape != (len(self.devices), len(self.servers)):
-            raise InvalidInputError("gain matrix shape mismatch")
-        for kind, items in (("device", self.devices), ("server", self.servers)):
-            for i, item in enumerate(items):
-                if item.id != i:
-                    raise InvalidInputError(f"{kind} at position {i} has id {item.id}")
-        classes = sorted({d.dist.num_classes for d in self.devices})
-        if len(classes) > 1:
-            raise InvalidInputError(f"device histograms count different classes: {classes}")
-        shape = (len(self.devices), max(classes, default=0))
-        counts = np.reshape([d.dist.counts for d in self.devices], shape)
-        home = [d.home_server for d in self.devices]
-        object.__setattr__(self, "gains", g)
-        object.__setattr__(self, "counts", _frozen_array(counts, np.int64))
-        object.__setattr__(self, "home", _frozen_array(home, np.int64))
+        for i, server in enumerate(self.servers):
+            if server.id != i:
+                raise InvalidInputError(f"server at position {i} has id {server.id}")
+        n, classes = len(self.counts), np.shape(self.counts)[-1]
+        for name, dtype, shape in (
+            ("positions", np.float64, (n, 2)),
+            ("counts", np.int64, (n, classes)),
+            ("home", np.int64, (n,)),
+            ("data_bits", np.int64, (n,)),
+            ("gains", np.float64, (n, len(self.servers))),
+        ):
+            arr = _frozen_array(getattr(self, name), dtype)
+            if arr.shape != shape:
+                raise InvalidInputError(f"{name} shape mismatch: {arr.shape}, expected {shape}")
+            object.__setattr__(self, name, arr)
+        bad = np.flatnonzero((self.counts < 0).any(axis=1))
+        if bad.size:
+            raise InvalidInputError(f"device {bad[0]} has a negative label count")
+        bad = np.flatnonzero((self.home < 0) | (self.home >= len(self.servers)))
+        if bad.size:
+            raise InvalidInputError(f"device {bad[0]}: no home server with id {self.home[bad[0]]}")
 
     def device(self, device_id: int) -> Device:
-        if not (0 <= device_id < len(self.devices)):
+        """Device ``device_id``'s record, built from its rows."""
+        if not (0 <= device_id < len(self.home)):
             raise UnknownPairError(f"no device with id {device_id}")
-        return self.devices[device_id]
+        return Device(
+            id=device_id,
+            position=tuple(self.positions[device_id].tolist()),
+            data_bits=int(self.data_bits[device_id]),
+            dist=_trusted(LabelDistribution, counts=self.counts[device_id]),
+            home_server=int(self.home[device_id]),
+        )
 
-    def gain(self, device_id: int, server_id: int) -> float:
+    def check_pair(self, device_id: int, server_id: int) -> None:
         if not (0 <= server_id < len(self.servers)):
             raise UnknownPairError(f"no server with id {server_id}")
-        if not (0 <= device_id < len(self.devices)):
+        if not (0 <= device_id < len(self.home)):
             raise UnknownPairError(f"no device with id {device_id}")
+
+    def gain(self, device_id: int, server_id: int) -> float:
+        self.check_pair(device_id, server_id)
         return float(self.gains[device_id, server_id])
 
     def distance(self, device_id: int, server_id: int) -> float:
-        if not (0 <= server_id < len(self.servers)):
-            raise UnknownPairError(f"no server with id {server_id}")
-        return math.dist(self.device(device_id).position, self.servers[server_id].position)
+        self.check_pair(device_id, server_id)
+        return math.dist(self.positions[device_id].tolist(), self.servers[server_id].position)
 
 
 def channel_gain(
@@ -203,7 +218,7 @@ def place_topology(
     params: TopologyParams,
     rng: np.random.Generator,
     *,
-    dists: Sequence[LabelDistribution] | None = None,
+    counts: np.ndarray,
     bits_per_sample: int = DEFAULT_BITS_PER_SAMPLE,
 ) -> Topology:
     """Place servers on a hex lattice and scatter devices inside their cells.
@@ -219,8 +234,8 @@ def place_topology(
         params: lattice size, cell radius and channel model; a scenario's
             ``topology`` section, whose constructor checks every range.
         rng: placement and fading randomness.
-        dists: optional per-device label histograms, server-major order;
-            defaults to one sample per class over ten classes.
+        counts: (devices, C) label-count matrix, one row per device in
+            server-major order.
         bits_per_sample: payload bits per histogram sample.
 
     Returns:
@@ -228,16 +243,19 @@ def place_topology(
     """
     num_servers, cell_radius = params.num_servers, params.cell_radius
     total_devices = num_servers * params.devices_per_server
-    if dists is None:
-        dists = [uniform_distribution(10, 10) for _ in range(total_devices)]
-    if len(dists) != total_devices:
+    if len(counts) != total_devices:
+        raise InvalidInputError(f"expected {total_devices} device histograms, got {len(counts)}")
+    # Summed and multiplied as Python ints, so a payload past int64 cannot wrap.
+    data_bits = np.sum(counts, axis=1, dtype=object) * bits_per_sample
+    over = np.flatnonzero(data_bits >= 2**63)
+    if over.size:
         raise InvalidInputError(
-            f"expected {total_devices} device histograms, got {len(dists)}"
+            f"device {over[0]}: {data_bits[over[0]]} payload bits at bits_per_sample "
+            f"{bits_per_sample} do not fit in int64"
         )
     centers = _hex_centers(num_servers, cell_radius)
     servers = tuple(Server(i, c) for i, c in enumerate(centers))
-    devices, rows = [], []
-    device_id = 0
+    positions, rows = [], []
     for s, (cx, cy) in enumerate(centers):
         for _ in range(params.devices_per_server):
             while True:
@@ -248,18 +266,8 @@ def place_topology(
                 row = [math.dist((px, py), c) for c in centers]
                 if row.index(min(row)) == s:
                     break
+            positions.append((px, py))
             rows.append(row)
-            d = dists[device_id]
-            devices.append(
-                Device(
-                    id=device_id,
-                    position=(px, py),
-                    data_bits=d.total() * bits_per_sample,
-                    dist=d,
-                    home_server=s,
-                )
-            )
-            device_id += 1
     gains = channel_gain(
         np.array(rows),
         params.path_loss_exponent,
@@ -268,7 +276,8 @@ def place_topology(
     )
     if params.fading:
         gains *= rng.exponential(1.0, size=gains.shape)
-    return Topology(servers, tuple(devices), gains)
+    home = np.repeat(np.arange(num_servers), params.devices_per_server)
+    return Topology(servers, positions, counts, home, data_bits, gains)
 
 
 @dataclass(frozen=True)
@@ -376,7 +385,7 @@ def transfer_record(
     u, s = pair
     snr = topo.gain(u, s) * power / noise_floor
     r = rate(snr, cfg)
-    seconds = transfer_time(topo.device(u).data_bits, r)
+    seconds = transfer_time(int(topo.data_bits[u]), r)
     return TransferRecord(
         device=u,
         server=s,

@@ -56,12 +56,13 @@ class PairParams:
 
 def _pair_params(pair, noise_floor: float, topo: Topology, cfg: RadioConfig) -> PairParams:
     u, s = pair
-    bits = topo.device(u).data_bits
+    kappa = topo.gain(u, s) / noise_floor
+    bits = int(topo.data_bits[u])
     if bits <= 0:
         raise InvalidParameterError(f"device {u} has no data to transfer")
     return PairParams(
         epsilon=bits / cfg.subcarrier_bandwidth,
-        kappa=topo.gain(u, s) / noise_floor,
+        kappa=kappa,
         p_min=DEFAULT_P_MIN,
         p_max=cfg.max_power,
     )

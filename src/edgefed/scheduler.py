@@ -208,7 +208,7 @@ def run_scheduler(
     if cfg.policy == Policy.RANDOM and rng is None:
         raise InvalidParameterError("the random policy needs an rng")
     counts = topo.counts
-    if topo.devices and counts.shape[1] != cfg.target.num_classes:
+    if len(counts) and counts.shape[1] != cfg.target.num_classes:
         raise DimensionMismatchError("device histograms and target differ in class count")
     sizes = counts.sum(axis=1).tolist()
     target_probs = normalize(cfg.target)

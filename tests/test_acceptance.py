@@ -238,7 +238,7 @@ def test_criterion_5_divergence_rank_association():
     for seed in range(1, 6):
         model = separated_feature_model(10, 16, 3.0, 1.0)
         rng = default_rng(seed)
-        datasets = [materialize([h], model, [rng]) for h in hists]
+        datasets = [materialize([h.counts], model, [rng]) for h in hists]
         union = concat(datasets)
         w = local_update(
             ModelParams.zeros(10, 16),
@@ -378,7 +378,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
     """Gradients, aggregation identities, and byte-stable full runs."""
     # gradient against central finite differences at 1e-5 relative
     model = separated_feature_model(4, 6, 5.0, 1.0)
-    ds = materialize([uniform_distribution(4, 40)], model, [default_rng(80)])
+    ds = materialize([uniform_distribution(4, 40).counts], model, [default_rng(80)])
     rng = default_rng(81)
     w = ModelParams(rng.normal(size=(4, 6)) * 0.3, rng.normal(size=4) * 0.3)
     _, grad = loss_and_grad(w, ds)
@@ -408,7 +408,7 @@ def test_criterion_8_numerical_hygiene(tmp_path):
 
     # concatenation identity at double precision
     parts = [
-        materialize([uniform_distribution(4, 20 + 10 * i)], model, [default_rng(82 + i)])
+        materialize([uniform_distribution(4, 20 + 10 * i).counts], model, [default_rng(82 + i)])
         for i in range(3)
     ]
     pooled, _ = loss_and_grad(w, concat(parts))

@@ -127,9 +127,9 @@ def test_dirichlet_clients_equal_the_per_client_draws():
     for _ in range(50):
         theta = oracle_rng.dirichlet(profile.alpha)
         want.append(oracle_rng.multinomial(37, theta / theta.sum()).tolist())
-    assert [c.counts.tolist() for c in got] == want
+    assert got.tolist() == want
     assert rng.random() == oracle_rng.random()
-    assert all(c.counts.dtype == np.int64 and _read_only(c.counts) for c in got)
+    assert got.dtype == np.int64 and _read_only(got)
 
 
 class _RecordingRng:
@@ -163,12 +163,12 @@ def test_dirichlet_low_alpha_concentrates_mass():
     """
     profile = DirichletProfile(alpha=(0.3,) * 10, samples_per_client=200)
     clients = generate_clients(profile, 400, default_rng(5))
-    shares = np.array([c.counts.max() / c.total() for c in clients])
+    shares = np.array([c.max() / c.sum() for c in clients])
     frac_over_half = float((shares > 0.5).mean())
     assert 0.2 < frac_over_half < 0.5
     assert shares.mean() > 0.38
     flat = generate_clients(DirichletProfile(alpha=(30.0,) * 10, samples_per_client=200), 400, default_rng(5))
-    flat_shares = np.array([c.counts.max() / c.total() for c in flat])
+    flat_shares = np.array([c.max() / c.sum() for c in flat])
     assert float((flat_shares > 0.5).mean()) == 0.0
 
 
@@ -180,7 +180,7 @@ def test_grouped_counts_track_their_means():
     clients = generate_clients(GroupedProfile(), 2000, default_rng(21))
     tops, rest = [], []
     for c in clients:
-        ordered = np.sort(c.counts)[::-1]
+        ordered = np.sort(c)[::-1]
         tops.append(ordered[:2].mean())
         rest.append(ordered[2:].mean())
     assert 45.0 < float(np.mean(tops)) < 58.0
@@ -190,7 +190,7 @@ def test_grouped_counts_track_their_means():
 def test_grouped_degenerate_stds_are_exact():
     profile = GroupedProfile(high_std=0.0, low_std=0.0)
     for c in generate_clients(profile, 50, default_rng(2)):
-        ordered = np.sort(c.counts)[::-1]
+        ordered = np.sort(c)[::-1]
         assert ordered.tolist() == [50, 50] + [10] * 8
 
 
@@ -230,7 +230,7 @@ def test_group_weights_degenerate_pins_the_group():
         high_std=0.0, low_std=0.0, group_weights=(1.0, 0.0, 0.0, 0.0, 0.0)
     )
     for c in generate_clients(profile, 30, default_rng(9)):
-        assert c.counts.tolist() == [50, 50] + [10] * 8
+        assert c.tolist() == [50, 50] + [10] * 8
 
 
 def test_group_weights_skew_popularity():
@@ -240,7 +240,7 @@ def test_group_weights_skew_popularity():
     clients = generate_clients(profile, 2000, default_rng(13))
     hit = np.zeros(5)
     for c in clients:
-        high = np.argsort(c.counts)[::-1][:2]
+        high = np.argsort(c)[::-1][:2]
         hit[int(high[0]) // 2] += 0.5
         hit[int(high[1]) // 2] += 0.5
     freq = hit / len(clients)
@@ -257,7 +257,7 @@ def test_group_weights_equal_weights_stay_uniform():
     )
     hit = np.zeros(5)
     for c in clients:
-        high = np.argsort(c.counts)[::-1][:2]
+        high = np.argsort(c)[::-1][:2]
         hit[int(high[0]) // 2] += 0.5
         hit[int(high[1]) // 2] += 0.5
     freq = hit / len(clients)
@@ -319,9 +319,9 @@ def test_grouped_clients_equal_the_per_client_oracle(name, seed):
     rng, oracle_rng = default_rng(seed), default_rng(seed)
     got = generate_clients(profile, 300, rng)
     want = _oracle_grouped_clients(profile, 300, oracle_rng)
-    assert [c.counts.tolist() for c in got] == [c.tolist() for c in want]
+    assert got.tolist() == [c.tolist() for c in want]
     assert rng.random() == oracle_rng.random()
-    assert all(c.counts.dtype == np.int64 and _read_only(c.counts) for c in got)
+    assert got.dtype == np.int64 and _read_only(got)
 
 
 def test_grouped_count_too_large_for_int64_raises():
@@ -333,7 +333,7 @@ def test_grouped_count_too_large_for_int64_raises():
         generate_clients(profile, 2, default_rng(1))
     # the largest float below 2**63 still fits
     fits = GroupedProfile(high_mean=2.0**63 - 1024, high_std=0.0)
-    assert generate_clients(fits, 1, default_rng(1))[0].counts.max() == 2**63 - 1024
+    assert generate_clients(fits, 1, default_rng(1))[0].max() == 2**63 - 1024
 
 
 # --------------------------------------------------------------- smoothing
@@ -359,7 +359,7 @@ def test_normalize_arithmetic():
 
 def test_materialize_counts_and_labels():
     model = separated_feature_model(2, 4, 6.0, 1.0)
-    ds = materialize([LabelDistribution([5, 0])], model, [default_rng(1)])
+    ds = materialize([[5, 0]], model, [default_rng(1)])
     assert len(ds) == 5
     assert np.all(ds.labels == 0)
     assert ds.feat_dim == 4
@@ -380,26 +380,26 @@ def test_feature_data_validation():
         separated_feature_model(4, 3, 6.0, 1.0)
     model = separated_feature_model(3, 4, 6.0, 1.0)
     with pytest.raises(DimensionMismatchError, match="feature model covers 3 classes"):
-        materialize([LabelDistribution([1, 1])], model, [default_rng(1)])
+        materialize([[1, 1]], model, [default_rng(1)])
     hist, streams = uniform_distribution(3, 6), [default_rng(1), default_rng(2)]
-    with pytest.raises(DimensionMismatchError, match="covers 3 classes, histogram has 2"):
-        materialize([hist, LabelDistribution([1, 1])], model, streams)
+    with pytest.raises(DimensionMismatchError, match=r"covers 3 classes, counts have shape \(2, 2\)"):
+        materialize([[1, 1], [1, 1]], model, streams)
     with pytest.raises(DimensionMismatchError, match="one stream per histogram, got 1 for 2"):
-        materialize([hist, hist], model, streams[:1])
+        materialize([hist.counts, hist.counts], model, streams[:1])
     with pytest.raises(DimensionMismatchError, match="one stream per histogram, got 2 for 1"):
-        materialize([hist], model, streams)
+        materialize([hist.counts], model, streams)
 
 
 def test_materialize_empty():
     model = separated_feature_model(3, 4, 6.0, 1.0)
-    ds = materialize([LabelDistribution([0, 0, 0])], model, [default_rng(1)])
+    ds = materialize([[0, 0, 0]], model, [default_rng(1)])
     assert len(ds) == 0
 
 
 def test_materialize_separation_oracle():
     """With >= 6 sigma between class means a nearest-mean rule is near perfect."""
     model = separated_feature_model(4, 8, 6.0, 1.0)
-    ds = materialize([uniform_distribution(4, 1000)], model, [default_rng(42)])
+    ds = materialize([uniform_distribution(4, 1000).counts], model, [default_rng(42)])
     centers = model.means
     d2 = ((ds.features[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     pred = d2.argmin(axis=1)
@@ -408,8 +408,8 @@ def test_materialize_separation_oracle():
 
 def test_dataset_concat_roundtrip():
     model = separated_feature_model(3, 5, 6.0, 1.0)
-    a = materialize([uniform_distribution(3, 30)], model, [default_rng(3)])
-    b = materialize([uniform_distribution(3, 12)], model, [default_rng(4)])
+    a = materialize([uniform_distribution(3, 30).counts], model, [default_rng(3)])
+    b = materialize([uniform_distribution(3, 12).counts], model, [default_rng(4)])
     both = concat([a, b])
     assert len(both) == 42
     assert np.array_equal(both.features[:30], a.features)
@@ -446,7 +446,7 @@ def test_materialize_equals_per_class_blocks(std):
     for seed, counts in enumerate(hists):
         dist = LabelDistribution(counts)
         fresh, old = default_rng(seed), default_rng(seed)
-        ds = materialize([dist], model, [fresh])
+        ds = materialize([dist.counts], model, [fresh])
         feats, labels = _materialize_per_class(dist, model, old)
         assert np.array_equal(ds.features, feats)
         assert ds.features.tobytes() == feats.tobytes()  # signed zeros too
@@ -461,10 +461,7 @@ def test_materialize_draws_each_histogram_from_its_stream():
     one-histogram draws from the same streams, bit for bit, and leave each
     stream where its own draw would."""
     model = separated_feature_model(4, 6, 5.0, 1.5)
-    hists = [
-        LabelDistribution(c)
-        for c in ([3, 0, 2, 1], [0, 0, 0, 0], [0, 4, 0, 5], [2, 2, 2, 2])
-    ]
+    hists = np.array([[3, 0, 2, 1], [0, 0, 0, 0], [0, 4, 0, 5], [2, 2, 2, 2]])
     streams = [default_rng(seed) for seed in range(len(hists))]
     ds = materialize(hists, model, streams)
     alone = [materialize([h], model, [default_rng(seed)]) for seed, h in enumerate(hists)]
@@ -481,7 +478,7 @@ def test_materialize_draws_each_histogram_from_its_stream():
 
 def test_dataset_concat_is_read_only_and_owns_its_arrays():
     model = separated_feature_model(3, 5, 6.0, 1.0)
-    parts = [materialize([uniform_distribution(3, n)], model, [default_rng(n)]) for n in (7, 0, 5)]
+    parts = [materialize([uniform_distribution(3, n).counts], model, [default_rng(n)]) for n in (7, 0, 5)]
     both = concat(parts)
     assert _read_only(both.features, both.labels)
     assert not any(np.shares_memory(both.features, p.features) for p in parts)

@@ -118,7 +118,7 @@ def test_complement_clamps_excess():
 
 def _toy_dataset(seed, n=40, num_classes=3, dim=5):
     model = separated_feature_model(num_classes, dim, 3.0, 1.0)
-    return materialize([uniform_distribution(num_classes, n)], model, [default_rng(seed)])
+    return materialize([uniform_distribution(num_classes, n).counts], model, [default_rng(seed)])
 
 
 def test_gradient_divergence_zero_for_same_data():
@@ -144,7 +144,7 @@ def test_gamma_rank_matches_kl_rank():
     ]
     model = separated_feature_model(10, 16, 3.0, 1.0)
     rng = default_rng(1)
-    datasets = [materialize([h], model, [rng]) for h in hists]
+    datasets = [materialize([h.counts], model, [rng]) for h in hists]
     union = concat(datasets)
     w = local_update(
         ModelParams.zeros(10, 16), union, TrainConfig(phi=0.05, local_steps=3, rounds=1)
@@ -163,7 +163,7 @@ def test_measure_gradient_divergences_shape():
     model = separated_feature_model(3, 5, 3.0, 1.0)
     rng = default_rng(21)
     hists = ([30, 5, 0], [2, 40, 9], [0, 3, 17], [11, 11, 12])
-    parts = [materialize([LabelDistribution(h)], model, [rng]) for h in hists]
+    parts = [materialize([h], model, [rng]) for h in hists]
     cfg = TrainConfig(phi=0.05, local_steps=2, rounds=4)
     paired = run_paired(parts, iid_counterpart(parts, default_rng(22)), cfg)
     snaps = paired.left_params[: cfg.rounds]
@@ -267,7 +267,7 @@ def _grouped_parts(seed, sizes=(120, 120, 120, 120)):
     for s, size in enumerate(sizes):
         counts = np.full(6, size // 12)
         counts[s % 6] += size - int(counts.sum())
-        out.append(materialize([LabelDistribution(counts)], model, [rng]))
+        out.append(materialize([counts], model, [rng]))
     return out
 
 

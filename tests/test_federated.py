@@ -41,7 +41,7 @@ from oracles import aggregate, concat, flatten, server_gradients
 
 def _dataset(seed, n=60, num_classes=4, dim=6, separation=6.0):
     model = separated_feature_model(num_classes, dim, separation, 1.0)
-    return materialize([uniform_distribution(num_classes, n)], model, [default_rng(seed)])
+    return materialize([uniform_distribution(num_classes, n).counts], model, [default_rng(seed)])
 
 
 def _random_model(seed, num_classes=4, dim=6, scale=0.3):
@@ -504,8 +504,8 @@ def test_fl_matches_centralized_on_iid_splits():
     """Uniform splits of separable data train to near-centralized accuracy."""
     model = separated_feature_model(4, 8, 6.0, 1.0)
     rng = default_rng(40)
-    parts = [materialize([uniform_distribution(4, 100)], model, [rng]) for _ in range(4)]
-    eval_set = materialize([uniform_distribution(4, 400)], model, [default_rng(41)])
+    parts = [materialize([uniform_distribution(4, 100).counts], model, [rng]) for _ in range(4)]
+    eval_set = materialize([uniform_distribution(4, 400).counts], model, [default_rng(41)])
     cfg = TrainConfig(phi=0.05, local_steps=1, rounds=40)
     metrics, _ = run_fl(parts, cfg, eval_set)
     central_metrics, _ = run_fl([concat(parts)], cfg, eval_set)

@@ -1,5 +1,6 @@
 """Scenario configuration, orchestration, emission, and the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from edgefed import federated, harness
 from edgefed.cli import main
 from edgefed.distributions import DirichletProfile, GroupedProfile
-from edgefed.errors import SimulationError
+from edgefed.errors import InvalidInputError, SimulationError, UnknownPairError
 from edgefed.federated import ModelParams, TrainConfig, run_fl
 from edgefed.harness import (
     DataParams,
@@ -26,7 +27,7 @@ from edgefed.harness import (
     run_scenario,
     server_datasets_from_plan,
 )
-from edgefed.network import assign_subcarriers, system_cost
+from edgefed.network import OffloadPlan, assign_subcarriers, system_cost
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
@@ -211,12 +212,21 @@ def test_presets():
 
 def test_build_population_shapes():
     cfg = _tiny_config(seed=2)
-    dists, topo = build_population(cfg)
-    assert len(dists) == 18
-    assert len(topo.devices) == 18
-    for d, h in zip(topo.devices, dists):
-        assert d.dist is h
-        assert d.data_bits == h.total() * cfg.data.bits_per_sample
+    counts, topo = build_population(cfg)
+    assert len(counts) == 18
+    assert len(topo.counts) == 18
+    assert np.array_equal(topo.counts, counts)
+    for u, h in enumerate(counts):
+        assert topo.data_bits[u] == h.sum() * cfg.data.bits_per_sample
+
+
+def test_run_scenario_rejects_a_payload_past_int64():
+    # Three classes of 4e18 samples wrap an int64 row total; before placement
+    # checked the payload, materialisation failed with numpy's "array is too big".
+    profile = GroupedProfile(high_mean=4e18, high_std=0, num_high_classes=3, group_size=3)
+    cfg = _tiny_config(data=DataParams(profile=profile, feat_dim=10, eval_samples_per_class=20))
+    with pytest.raises(InvalidInputError, match=r"^device 0: .* bits_per_sample 520 do not fit"):
+        run_scenario(cfg)
 
 
 def test_iid_reference_sizes_and_balance():
@@ -258,6 +268,18 @@ def test_server_datasets_match_the_plan():
     again = server_datasets_from_plan(cfg, topo, plan)
     for x, y in zip(parts, again):
         assert np.array_equal(x.features, y.features)
+
+
+def test_server_datasets_reject_a_device_the_topology_does_not_hold():
+    cfg = _tiny_config(seed=7)
+    _, topo = build_population(cfg)
+    target = uniform_target(3, cfg.scheduler.gamma, 10)
+    plan, _ = run_scheduler(SchedulerConfig(cfg.scheduler.gamma, target), topo, cfg.radio)
+    # a negative id must not wrap to the last count row
+    for bad in (-1, len(topo.counts)):
+        wrong = dataclasses.replace(plan.entries[0], device=bad)
+        with pytest.raises(UnknownPairError, match=f"no device with id {bad}"):
+            server_datasets_from_plan(cfg, topo, OffloadPlan((wrong, *plan.entries[1:])))
 
 
 def _device_block(cfg, topo, plan, device_id):
@@ -661,3 +683,44 @@ def test_benchmark_tracer_wraps_the_pipeline(tmp_path, monkeypatch):
     # averages the paired run's gradients without a pass of its own.
     assert layers["divergence.grad_passes"] == 0
     assert layers["federated.grad_passes"] == 0
+
+
+def _shrunk_benchmark_config(name):
+    """A benchmark scenario at 3 x 6 devices and two rounds."""
+    cfg = ScenarioConfig.from_json(PERFBENCH / "scenarios" / f"{name}.json")
+    return dataclasses.replace(
+        cfg,
+        topology=dataclasses.replace(cfg.topology, num_servers=3, devices_per_server=6),
+        data=dataclasses.replace(cfg.data, eval_samples_per_class=20),
+        train=dataclasses.replace(cfg.train, rounds=2),
+    )
+
+
+@pytest.mark.parametrize("name", ["golden", "full_offload"])
+def test_benchmark_workloads_report_no_failures(name, tmp_path, monkeypatch):
+    """The benchmark's workloads read the topology, plan and bundle as the
+    program builds them, and every output check holds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    outputs, accuracy, energy, failures = worker.WORKLOADS[name](
+        _shrunk_benchmark_config(name), tmp_path
+    )
+    assert failures == []
+    assert outputs and 0.0 <= accuracy <= 1.0 and energy > 0.0
+
+
+def test_benchmark_plan_check_sees_a_server_short_of_gamma(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+
+    cfg = _shrunk_benchmark_config("golden")
+    _, topo = build_population(cfg)
+    target = uniform_target(3, cfg.scheduler.gamma, cfg.data.num_classes)
+    plan, _ = run_scheduler(SchedulerConfig(cfg.scheduler.gamma, target), topo, cfg.radio)
+    assert worker._plan_checks(plan, topo, cfg.scheduler.gamma) == []
+    # Server 0's last pick was planned because its total was still short of
+    # gamma, or because it was the last device of its pool.
+    last = max(k for k, e in enumerate(plan.entries) if e.server == 0)
+    short = OffloadPlan(plan.entries[:last] + plan.entries[last + 1 :])
+    assert worker._plan_checks(short, topo, cfg.scheduler.gamma) == ["server_reaches_gamma"]

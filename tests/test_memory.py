@@ -21,7 +21,7 @@ from edgefed.network import TopologyParams
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
 # Per-call bookkeeping that does not grow with the sample count: one server's
-# device streams and histogram list, and the small index arrays.
+# device streams, id list and count rows, and the small index arrays.
 BOOKKEEPING_BYTES = 32 * 1024
 
 
@@ -70,7 +70,7 @@ def test_stack_over_one_wide_dataset_allocates_no_per_sample_array():
 def _servers(sizes=(2000, 1500, 2000, 1200)):
     model = separated_feature_model(4, 16, 3.0, 1.0)
     rng = np.random.default_rng(5)
-    return [materialize([uniform_distribution(4, n)], model, [rng]) for n in sizes]
+    return [materialize([uniform_distribution(4, n).counts], model, [rng]) for n in sizes]
 
 
 def test_iid_counterpart_holds_the_twin_and_two_index_arrays():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from edgefed.distributions import LabelDistribution, uniform_distribution
+from edgefed.distributions import GroupedProfile, generate_clients, uniform_distribution
 from edgefed.errors import (
     InvalidInputError,
     InvalidParameterError,
@@ -16,7 +16,6 @@ from edgefed.errors import (
 )
 from edgefed import network
 from edgefed.network import (
-    Device,
     OffloadPlan,
     RadioConfig,
     Server,
@@ -38,65 +37,66 @@ from oracles import sinr
 def _single_cell_topology(gain_matrix, bits=100_000, num_servers=1):
     """Hand-built topology: one device per gain row, servers on the x axis."""
     servers = tuple(Server(s, (1000.0 * s, 0.0)) for s in range(num_servers))
-    devices = tuple(
-        Device(
-            id=u,
-            position=(10.0 + u, 0.0),
-            data_bits=bits,
-            dist=uniform_distribution(2, 10),
-            home_server=0,
-        )
-        for u in range(len(gain_matrix))
+    n = len(gain_matrix)
+    return Topology(
+        servers,
+        positions=[(10.0 + u, 0.0) for u in range(n)],
+        counts=np.tile(uniform_distribution(2, 10).counts, (n, 1)),
+        home=np.zeros(n, dtype=np.int64),
+        data_bits=np.full(n, bits),
+        gains=np.asarray(gain_matrix, dtype=np.float64),
     )
-    return Topology(servers, devices, np.asarray(gain_matrix, dtype=np.float64))
+
+
+def _one_per_class(params):
+    """One sample of each of ten classes for every device of a layout."""
+    return np.ones((params.num_servers * params.devices_per_server, 10), dtype=np.int64)
 
 
 # ----------------------------------------------------------------- placement
 
 
 def test_single_cell_containment():
-    topo = place_topology(
-        TopologyParams(num_servers=1, devices_per_server=30, cell_radius=300.0, fading=False),
-        default_rng(1),
-    )
-    assert len(topo.devices) == 30
-    for d in topo.devices:
-        assert topo.distance(d.id, 0) <= 300.0 + 1e-9
-        assert d.home_server == 0
+    params = TopologyParams(num_servers=1, devices_per_server=30, cell_radius=300.0, fading=False)
+    topo = place_topology(params, default_rng(1), counts=_one_per_class(params))
+    assert len(topo.counts) == 30
+    for u in range(30):
+        assert topo.distance(u, 0) <= 300.0 + 1e-9
+        assert topo.home[u] == 0
 
 
 def test_large_layout_counts_and_homes():
-    topo = place_topology(
-        TopologyParams(num_servers=10, devices_per_server=100, fading=False), default_rng(2)
-    )
-    assert len(topo.devices) == 1000
+    params = TopologyParams(num_servers=10, devices_per_server=100, fading=False)
+    topo = place_topology(params, default_rng(2), counts=_one_per_class(params))
+    assert len(topo.counts) == 1000
     assert len(topo.servers) == 10
     # home server is the nearest server for every single device
-    for d in topo.devices:
-        dists = [topo.distance(d.id, s.id) for s in topo.servers]
-        assert int(np.argmin(dists)) == d.home_server
+    for u in range(1000):
+        dists = [topo.distance(u, s.id) for s in topo.servers]
+        assert int(np.argmin(dists)) == topo.home[u]
 
 
 def test_placement_determinism():
     layout = TopologyParams(num_servers=3, devices_per_server=10, cell_radius=400.0)
-    a = place_topology(layout, default_rng(7))
-    b = place_topology(layout, default_rng(7))
-    assert all(x.position == y.position for x, y in zip(a.devices, b.devices))
+    counts = _one_per_class(layout)
+    a = place_topology(layout, default_rng(7), counts=counts)
+    b = place_topology(layout, default_rng(7), counts=counts)
+    assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.gains, b.gains)
-    c = place_topology(layout, default_rng(8))
+    c = place_topology(layout, default_rng(8), counts=counts)
     assert not np.array_equal(a.gains, c.gains)
 
 
 def test_placement_custom_histograms_set_payloads():
-    dists = [uniform_distribution(4, 12) for _ in range(6)]
+    counts = np.tile(uniform_distribution(4, 12).counts, (6, 1))
     topo = place_topology(
         TopologyParams(num_servers=2, devices_per_server=3, cell_radius=200.0),
         default_rng(3),
-        dists=dists,
+        counts=counts,
         bits_per_sample=520,
     )
-    for d in topo.devices:
-        assert d.data_bits == 12 * 520
+    for bits in topo.data_bits:
+        assert bits == 12 * 520
 
 
 def test_placement_validation():
@@ -108,7 +108,7 @@ def test_placement_validation():
         place_topology(
             TopologyParams(num_servers=1, devices_per_server=5),
             default_rng(0),
-            dists=[uniform_distribution(4, 5)],
+            counts=[uniform_distribution(4, 5).counts],
         )
 
 
@@ -116,14 +116,11 @@ def test_topology_ids_are_positions():
     topo = _single_cell_topology([[1e-9, 2e-9], [3e-9, 4e-9]], num_servers=2)
     assert topo.gain(1, 0) == 3e-9 and topo.device(1).id == 1
     assert not topo.gains.flags.writeable
-    swapped = (topo.devices[1], topo.devices[0])
-    with pytest.raises(InvalidInputError, match="device at position 0 has id 1"):
-        Topology(topo.servers, swapped, topo.gains)
     shifted = tuple(Server(s + 1, (0.0, 0.0)) for s in range(2))
     with pytest.raises(InvalidInputError, match="server at position 0 has id 1"):
-        Topology(shifted, topo.devices, topo.gains)
-    with pytest.raises(InvalidInputError, match="gain matrix shape mismatch"):
-        Topology(topo.servers, topo.devices, topo.gains.T[:1])
+        dataclasses.replace(topo, servers=shifted)
+    with pytest.raises(InvalidInputError, match="gains shape mismatch"):
+        dataclasses.replace(topo, gains=topo.gains.T[:1])
     # a negative id must not wrap to the last row
     for lookup in (
         lambda: topo.device(-1),
@@ -140,33 +137,70 @@ def test_topology_ids_are_positions():
 
 
 def test_topology_indexes_counts_and_homes_once():
-    dists = [LabelDistribution([u, 2 * u, 3]) for u in range(6)]
+    counts = [[u, 2 * u, 3] for u in range(6)]
     topo = place_topology(
         TopologyParams(num_servers=2, devices_per_server=3, cell_radius=200.0),
         default_rng(5),
-        dists=dists,
+        counts=counts,
     )
     assert topo.counts.dtype == np.int64 and topo.home.dtype == np.int64
     assert not topo.counts.flags.writeable and not topo.home.flags.writeable
-    assert topo.counts.tolist() == [d.dist.counts.tolist() for d in topo.devices]
-    assert topo.home.tolist() == [d.home_server for d in topo.devices]
-    # a replaced device rebuilds its row and leaves the others
-    moved = dataclasses.replace(
-        topo.devices[4], dist=LabelDistribution([9, 9, 9]), home_server=0
-    )
-    changed = dataclasses.replace(
-        topo, devices=topo.devices[:4] + (moved,) + topo.devices[5:]
-    )
-    assert changed.counts[4].tolist() == [9, 9, 9] and changed.home[4] == 0
-    assert np.array_equal(np.delete(changed.counts, 4, 0), np.delete(topo.counts, 4, 0))
+    assert topo.counts.tolist() == [topo.device(u).dist.counts.tolist() for u in range(6)]
+    assert topo.home.tolist() == [topo.device(u).home_server for u in range(6)]
+    assert topo.counts.tolist() == counts and topo.home.tolist() == [0, 0, 0, 1, 1, 1]
     assert topo.counts[4].tolist() == [4, 8, 3] and topo.home[4] == 1
-    mixed = _single_cell_topology([[1e-9], [2e-9]]).devices
-    mixed = (mixed[0], dataclasses.replace(mixed[1], dist=LabelDistribution([1, 2, 3])))
-    one_line = r"^device histograms count different classes: \[2, 3\]$"
-    with pytest.raises(InvalidInputError, match=one_line):
-        Topology(topo.servers[:1], mixed, np.ones((2, 1)))
-    empty = Topology(topo.servers, (), np.zeros((0, 2)))
+    empty = Topology(topo.servers, np.zeros((0, 2)), np.zeros((0, 0)), [], [], np.zeros((0, 2)))
     assert empty.counts.shape == (0, 0) and empty.home.shape == (0,)
+
+
+def test_topology_checks_its_arrays_in_one_line():
+    topo = _single_cell_topology([[1e-9, 2e-9], [3e-9, 4e-9], [5e-9, 6e-9]], num_servers=2)
+    for name, bad in (
+        ("positions", np.zeros((3, 3))),
+        ("counts", np.ones(3, dtype=np.int64)),
+        ("home", np.zeros(2, dtype=np.int64)),
+        ("data_bits", np.zeros((3, 1), dtype=np.int64)),
+        ("gains", np.ones((3, 1))),
+    ):
+        with pytest.raises(InvalidInputError, match=rf"^{name} shape mismatch: .*, expected"):
+            dataclasses.replace(topo, **{name: bad})
+    for home in ([0, 2, 1], [0, 0, -1]):
+        bad = home.index(2) if 2 in home else home.index(-1)
+        one_line = rf"^device {bad}: no home server with id {home[bad]}$"
+        with pytest.raises(InvalidInputError, match=one_line):
+            dataclasses.replace(topo, home=home)
+    negative = np.array([[1, 1], [0, -1], [2, 2]])
+    with pytest.raises(InvalidInputError, match=r"^device 1 has a negative label count$"):
+        dataclasses.replace(topo, counts=negative)
+    # a device record views its count row; nothing is copied or writeable
+    dist = topo.device(2).dist
+    assert np.shares_memory(dist.counts, topo.counts) and not dist.counts.flags.writeable
+    assert topo.device(2).position == (12.0, 0.0) and topo.device(2).data_bits == 100_000
+
+
+@pytest.mark.parametrize("high_mean", [4e18, 1e17])
+def test_placement_rejects_a_payload_past_int64(high_mean):
+    # At 4e18 the three high classes already wrap an int64 row total; at 1e17
+    # the total fits and only its product with bits_per_sample passes 2**63.
+    profile = GroupedProfile(high_mean=high_mean, high_std=0.0, num_high_classes=3, group_size=3)
+    counts = generate_clients(profile, 4, default_rng(1))
+    one_line = r"^device 0: \d+ payload bits at bits_per_sample 520 do not fit in int64$"
+    with pytest.raises(InvalidInputError, match=one_line):
+        place_topology(
+            TopologyParams(num_servers=2, devices_per_server=2),
+            default_rng(2),
+            counts=counts,
+            bits_per_sample=520,
+        )
+
+
+def test_placement_keeps_the_largest_int64_payload():
+    params = TopologyParams(num_servers=1, devices_per_server=2)
+    fits = [[2**62, 2**62 - 1], [1, 0]]
+    topo = place_topology(params, default_rng(3), counts=fits, bits_per_sample=1)
+    assert topo.data_bits.tolist() == [2**63 - 1, 1]
+    with pytest.raises(InvalidInputError, match="^device 1: 9223372036854775808 payload bits"):
+        place_topology(params, default_rng(3), counts=[[0, 1], [2**62, 2**62]], bits_per_sample=1)
 
 
 def _place_pairwise(num_servers, devices_per_server, cell_radius, rng, **kw):
@@ -225,9 +259,9 @@ def test_placement_equals_the_pairwise_formulation(layout, fading):
         reference_distance=kw["reference_distance"],
         fading=kw["fading"],
     )
-    topo = place_topology(params, fresh)
+    topo = place_topology(params, fresh, counts=_one_per_class(params))
     positions, gains = _place_pairwise(*shape, old, **kw)
-    assert [d.position for d in topo.devices] == positions
+    assert [tuple(p) for p in topo.positions.tolist()] == positions
     assert topo.gains.tobytes() == gains.tobytes()
     assert fresh.random() == old.random()
     if layout.get("reference_distance", 1.0) > 1.0 and not fading:
@@ -255,10 +289,14 @@ def test_placement_fading_is_unit_mean():
     # Fading draws come after placement, so one seed places the same devices
     # with fading on and off, and the gain ratio is the fading factor alone.
     faded, bare = (
-        place_topology(TopologyParams(10, 200, fading=fading), default_rng(17))
+        place_topology(
+            TopologyParams(10, 200, fading=fading),
+            default_rng(17),
+            counts=_one_per_class(TopologyParams(10, 200)),
+        )
         for fading in (True, False)
     )
-    assert [d.position for d in faded.devices] == [d.position for d in bare.devices]
+    assert faded.positions.tolist() == bare.positions.tolist()
     assert abs((faded.gains / bare.gains).mean() - 1.0) <= 0.03
 
 

@@ -9,7 +9,6 @@ from numpy.random import default_rng
 from edgefed.distributions import uniform_distribution
 from edgefed.errors import InvalidParameterError
 from edgefed.network import (
-    Device,
     RadioConfig,
     Server,
     Topology,
@@ -31,14 +30,14 @@ from oracles import pair_params, quasiconvexity_probe, sinr
 
 
 def _one_server_topo(gain_rows, bits=100_000):
-    devices = tuple(
-        Device(u, (10.0 + u, 0.0), bits, uniform_distribution(2, 10), 0)
-        for u in range(len(gain_rows))
-    )
+    n = len(gain_rows)
     return Topology(
         (Server(0, (0.0, 0.0)),),
-        devices,
-        np.asarray(gain_rows, dtype=np.float64),
+        positions=[(10.0 + u, 0.0) for u in range(n)],
+        counts=np.tile(uniform_distribution(2, 10).counts, (n, 1)),
+        home=np.zeros(n, dtype=np.int64),
+        data_bits=np.full(n, bits),
+        gains=np.asarray(gain_rows, dtype=np.float64),
     )
 
 
@@ -221,8 +220,8 @@ def test_solve_pair_sinr_equals_network_sinr():
     """One noise floor per pair serves the coefficients and the SINR, bit for bit."""
     cfg = RadioConfig(subcarriers=4)
     layout = TopologyParams(num_servers=5, devices_per_server=12, cell_radius=300.0)
-    topo = place_topology(layout, default_rng(4))
-    pairs = [(d.id, d.home_server) for d in topo.devices]
+    topo = place_topology(layout, default_rng(4), counts=np.ones((60, 10), dtype=np.int64))
+    pairs = list(enumerate(topo.home.tolist()))
     smap = assign_subcarriers(pairs, cfg.subcarriers)
     for pair in pairs:
         rec = solve_pair(pair, smap, topo, cfg)

@@ -67,9 +67,9 @@ def _stub_solver(pair, smap, topo, radio):
 
 def _grouped_topology(seed, servers=4, per_server=15):
     profile = GroupedProfile()
-    dists = generate_clients(profile, servers * per_server, default_rng(seed))
+    counts = generate_clients(profile, servers * per_server, default_rng(seed))
     layout = TopologyParams(num_servers=servers, devices_per_server=per_server, cell_radius=400.0)
-    topo = place_topology(layout, default_rng(seed + 1), dists=dists)
+    topo = place_topology(layout, default_rng(seed + 1), counts=counts)
     return topo
 
 
@@ -117,12 +117,12 @@ def test_serviceable_set_filters():
     topo = _grouped_topology(3, servers=2, per_server=5)
     home0 = serviceable_set(0, topo)
     assert home0 == sorted(home0)
-    assert all(topo.device(u).home_server == 0 for u in home0)
+    assert all(topo.home[u] == 0 for u in home0)
     # devices without samples are never candidates
-    dists = [d.dist for d in topo.devices]
-    dists[home0[0]] = zeros(dists[0].num_classes)
+    counts = topo.counts.copy()
+    counts[home0[0]] = zeros(counts.shape[1]).counts
     layout = TopologyParams(num_servers=2, devices_per_server=5, cell_radius=400.0)
-    emptied = place_topology(layout, default_rng(4), dists=dists)
+    emptied = place_topology(layout, default_rng(4), counts=counts)
     assert serviceable_set(0, emptied) == home0[1:]
 
 
@@ -335,7 +335,7 @@ def test_server_without_candidates_plans_and_traces_nothing(policy):
     full = _grouped_topology(15, servers=3, per_server=10)
     emptied = full
     for u in serviceable_set(1, full):
-        emptied = _with_device(emptied, u, dist=zeros(10))
+        emptied = _with_row(emptied, u, counts=zeros(10).counts)
     assert serviceable_set(1, emptied) == []
     cfg = SchedulerConfig(gamma=300, target=uniform_target(3, 300, 10), policy=policy)
     (full_plan, full_trace), (plan, trace) = (
@@ -354,7 +354,8 @@ def test_server_without_candidates_plans_and_traces_nothing(policy):
 
 @pytest.mark.parametrize("policy", list(Policy))
 def test_topology_without_devices_schedules_nothing(policy):
-    topo = Topology((Server(0, (0.0, 0.0)),), (), np.zeros((0, 1)))
+    no_rows = (np.zeros((0, 2)), np.zeros((0, 0)), [], [], np.zeros((0, 1)))
+    topo = Topology((Server(0, (0.0, 0.0)),), *no_rows)
     cfg = SchedulerConfig(gamma=5, target=uniform_target(1, 5, 3), policy=policy)
     plan, trace = run_scheduler(cfg, topo, RadioConfig(), default_rng(0))
     assert plan.entries == () and trace.rows == ()
@@ -392,13 +393,13 @@ def test_random_policy_is_reproducible():
         run_scheduler(cfg, topo, RadioConfig(), rng=None, power_solver=_stub_solver)
 
 
-def _with_device(topo, device_id, **changes):
-    """The topology with one device's fields replaced."""
-    devices = tuple(
-        dataclasses.replace(d, **changes) if d.id == device_id else d
-        for d in topo.devices
-    )
-    return dataclasses.replace(topo, devices=devices)
+def _with_row(topo, device_id, **rows):
+    """The topology with one device's row replaced in each named array."""
+    changed = {}
+    for name, row in rows.items():
+        changed[name] = getattr(topo, name).copy()
+        changed[name][device_id] = row
+    return dataclasses.replace(topo, **changed)
 
 
 def test_trace_replay_confirms_every_greedy_choice():
@@ -410,10 +411,10 @@ def test_trace_replay_confirms_every_greedy_choice():
     # whenever one of the two is the best pick the other ties it
     home = serviceable_set(0, placed)
     lo, hi = home[0], home[-1]
-    tied = _with_device(placed, hi, dist=placed.device(lo).dist)
+    tied = _with_row(placed, hi, counts=placed.counts[lo])
     for topo in (placed, tied):
         _, trace = run_scheduler(cfg, topo, RadioConfig(), power_solver=_stub_solver)
-        dists = {d.id: d.dist for d in topo.devices}
+        dists = {u: topo.device(u).dist for u in range(len(topo.counts))}
         for server in range(4):
             remaining = set(serviceable_set(server, topo))
             held = zeros(10)
@@ -455,7 +456,7 @@ def test_trace_replay_confirms_every_nearest_choice():
     # the two sit at equal distance and the lower id must be taken first
     home = serviceable_set(0, topo)
     lo, hi = home[0], home[-1]
-    tied = _with_device(topo, lo, position=topo.device(hi).position)
+    tied = _with_row(topo, lo, positions=topo.positions[hi])
     assert tied.distance(lo, 0) == tied.distance(hi, 0)
     _, trace = run_scheduler(cfg, tied, RadioConfig(), power_solver=_stub_solver)
     _replay_nearest(tied, trace, 4)
@@ -469,7 +470,7 @@ def test_nearest_order_breaks_ties_by_id_in_any_input_order():
     topo = _grouped_topology(13)
     home = serviceable_set(0, topo)
     lo, hi = home[0], home[-1]
-    tied = _with_device(topo, lo, position=topo.device(hi).position)
+    tied = _with_row(topo, lo, positions=topo.positions[hi])
     order = _nearest_order(home[::-1], tied, 0)
     assert order.index(hi) == order.index(lo) + 1
     assert sorted(order) == home
@@ -484,15 +485,11 @@ def test_trace_rows_equal_the_per_merge_kl(policy, stop):
     running histogram after that merge, bit for bit."""
     grouped = _grouped_topology(14, servers=5, per_server=30)
     # one device without samples: it is never a candidate, so never traced
-    grouped = _with_device(grouped, 7, dist=zeros(10))
+    grouped = _with_row(grouped, 7, counts=zeros(10).counts)
     # uniform histograms: every running histogram matches the uniform target,
     # and the raw KL sums round to -1.1e-16 for some, so the clamp matters
     uniform = dataclasses.replace(
-        grouped,
-        devices=tuple(
-            dataclasses.replace(d, dist=LabelDistribution([1 + d.id % 7] * 10))
-            for d in grouped.devices
-        ),
+        grouped, counts=[[1 + u % 7] * 10 for u in range(len(grouped.counts))]
     )
     target = uniform_target(5, 400, 10)
     cfg = SchedulerConfig(gamma=400, target=target, policy=policy, stop_at_threshold=stop)

@@ -36,49 +36,73 @@ MUTATIONS = [
     (
         "device lookup accepts negative ids",
         "src/edgefed/network.py",
-        "        if not (0 <= device_id < len(self.devices)):\n"
+        "        if not (0 <= device_id < len(self.home)):\n"
         "            raise UnknownPairError(f\"no device with id {device_id}\")\n"
-        "        return self.devices[device_id]",
-        "        if not (device_id < len(self.devices)):\n"
+        "        return Device(",
+        "        if not (device_id < len(self.home)):\n"
         "            raise UnknownPairError(f\"no device with id {device_id}\")\n"
-        "        return self.devices[device_id]",
+        "        return Device(",
         ["tests/test_network.py"],
     ),
     (
-        "gain lookup accepts negative device ids",
+        "pair lookup accepts negative device ids",
         "src/edgefed/network.py",
-        "        if not (0 <= device_id < len(self.devices)):\n"
-        "            raise UnknownPairError(f\"no device with id {device_id}\")\n"
-        "        return float(",
-        "        if not (device_id < len(self.devices)):\n"
-        "            raise UnknownPairError(f\"no device with id {device_id}\")\n"
-        "        return float(",
+        "        if not (0 <= device_id < len(self.home)):\n"
+        "            raise UnknownPairError(f\"no device with id {device_id}\")\n\n"
+        "    def gain(",
+        "        if not (device_id < len(self.home)):\n"
+        "            raise UnknownPairError(f\"no device with id {device_id}\")\n\n"
+        "    def gain(",
         ["tests/test_network.py"],
     ),
     (
-        "distance lookup accepts negative server ids",
+        "pair lookup accepts negative server ids",
         "src/edgefed/network.py",
-        "        if not (0 <= server_id < len(self.servers)):\n"
-        "            raise UnknownPairError(f\"no server with id {server_id}\")\n"
-        "        return math.dist(",
-        "        if not (server_id < len(self.servers)):\n"
-        "            raise UnknownPairError(f\"no server with id {server_id}\")\n"
-        "        return math.dist(",
+        "        if not (0 <= server_id < len(self.servers)):\n",
+        "        if not (server_id < len(self.servers)):\n",
         ["tests/test_network.py"],
     ),
     (
-        "topology skips the id-position check",
+        "topology skips the server id-position check",
         "src/edgefed/network.py",
-        "                if item.id != i:\n",
-        "                if False:\n",
+        "            if server.id != i:\n",
+        "            if False:\n",
         ["tests/test_network.py"],
     ),
     (
-        "topology skips its class-count check",
+        "topology skips its array shape check",
         "src/edgefed/network.py",
-        "        if len(classes) > 1:\n",
-        "        if False:\n",
+        "            if arr.shape != shape:\n",
+        "            if False:\n",
         ["tests/test_network.py"],
+    ),
+    (
+        "topology accepts negative label counts",
+        "src/edgefed/network.py",
+        "np.flatnonzero((self.counts < 0).any(axis=1))",
+        "np.flatnonzero((self.counts < -1).any(axis=1))",
+        ["tests/test_network.py"],
+    ),
+    (
+        "topology accepts home servers past the last one",
+        "src/edgefed/network.py",
+        "(self.home < 0) | (self.home >= len(self.servers))",
+        "(self.home < 0)",
+        ["tests/test_network.py"],
+    ),
+    (
+        "placement lets a payload of exactly 2**63 bits through",
+        "src/edgefed/network.py",
+        "np.flatnonzero(data_bits >= 2**63)",
+        "np.flatnonzero(data_bits > 2**63)",
+        ["tests/test_network.py"],
+    ),
+    (
+        "plan materialisation skips the pair check",
+        "src/edgefed/harness.py",
+        "        topo.check_pair(e.device, e.server)\n",
+        "",
+        ["tests/test_harness.py"],
     ),
     (
         "trusted arrays stay writeable",
