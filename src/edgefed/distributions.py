@@ -403,6 +403,11 @@ def materialize(
         raise DimensionMismatchError(
             f"feature model covers {model.num_classes} classes, counts have shape {counts.shape}"
         )
+    bad = np.flatnonzero((counts < 0).any(axis=1) | (not np.issubdtype(counts.dtype, np.integer)))
+    if bad.size:
+        raise InvalidInputError(
+            f"count row {bad[0]} must hold non-negative integers, got {counts[bad[0]].tolist()}"
+        )
     classes = np.tile(np.arange(model.num_classes, dtype=np.int64), len(counts))
     labels = np.repeat(classes, counts.reshape(-1))
     features = np.empty((labels.size, model.feat_dim))

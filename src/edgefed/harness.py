@@ -46,7 +46,7 @@ from .network import (
     place_topology,
     system_cost,
 )
-from .rng import keyed_stream, substream
+from .rng import substream
 from .scheduler import (
     OffloadTrace,
     Policy,
@@ -277,7 +277,7 @@ def server_datasets_from_plan(
         topo.check_pair(e.device, e.server)
         by_server.setdefault(e.server, []).append(e.device)
     return [
-        materialize(topo.counts[ids], model, [keyed_stream(cfg.seed, "data", u) for u in ids])
+        materialize(topo.counts[ids], model, [substream(cfg.seed, "data", u) for u in ids])
         for _, ids in sorted(by_server.items())
     ]
 

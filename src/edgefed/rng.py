@@ -20,32 +20,24 @@ STREAMS = {
 }
 
 
-def _stream(seed: int, label: str, *key: int) -> np.random.Generator:
-    try:
-        index = STREAMS[label]
-    except KeyError:
-        raise KeyError(f"unknown stream label {label!r}") from None
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, *key)))
-
-
-def substream(seed: int, label: str) -> np.random.Generator:
+def substream(seed: int, label: str, *key: int) -> np.random.Generator:
     """Return the independent generator for one labelled stream.
 
     Args:
         seed: top-level scenario seed.
         label: one of the keys in ``STREAMS``.
+        key: optional entity ids (for example one device) that open a child
+            stream under the label. Keys under different labels never
+            collide, and a keyed stream is not the label's plain stream, so
+            device feature draws are stable no matter how many other
+            entities exist.
 
     Returns:
         A ``numpy.random.Generator`` whose draws are independent of every
-        other label's stream under the same seed.
+        other label's and key's stream under the same seed.
     """
-    return _stream(seed, label)
-
-
-def keyed_stream(seed: int, label: str, key: int) -> np.random.Generator:
-    """Generator for a per-entity child stream (for example one device).
-
-    Entity keys under different labels never collide, so device feature
-    draws are stable no matter how many other entities exist.
-    """
-    return _stream(seed, label, int(key))
+    try:
+        index = STREAMS[label]
+    except KeyError:
+        raise KeyError(f"unknown stream label {label!r}") from None
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, *map(int, key))))

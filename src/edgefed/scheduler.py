@@ -173,9 +173,7 @@ def _random_order(ids, rng):
     """Uniformly random order, one draw per step: a stopped server draws no more."""
     remaining = list(ids)
     while remaining:
-        u = int(rng.choice(remaining))
-        remaining.remove(u)
-        yield u
+        yield remaining.pop(int(rng.integers(len(remaining))))
 
 
 def run_scheduler(

@@ -147,6 +147,16 @@ def measure_gradient_divergences(
         out[i] = [g.distance(g_global) for g in grads]
     return out
 
+
+def random_order(ids, rng):
+    """Uniformly random order of ``ids``: one ``choice`` and one search-and-remove per step."""
+    remaining = list(ids)
+    while remaining:
+        u = int(rng.choice(remaining))
+        remaining.remove(u)
+        yield u
+
+
 def per_server(trace: OffloadTrace, server_id: int) -> list:
     return [r for r in trace.rows if r.server == server_id]
 

@@ -390,6 +390,18 @@ def test_feature_data_validation():
         materialize([hist.counts], model, streams)
 
 
+def test_materialize_rejects_non_integer_or_negative_counts():
+    model = separated_feature_model(2, 3, 6.0, 1.0)
+    message = "^count row {} must hold non-negative integers, got {}$"
+    with pytest.raises(InvalidInputError, match=message.format(0, r"\[1.0, 2.0\]")):
+        materialize([[1.0, 2.0]], model, [default_rng(1)])
+    streams = [default_rng(1), default_rng(2)]
+    with pytest.raises(InvalidInputError, match=message.format(1, r"\[1, -1\]")):
+        materialize([[2, 0], [1, -1]], model, streams)
+    with pytest.raises(InvalidInputError, match=message.format(0, r"\[1, -1\]")):
+        materialize([[1, -1]], model, streams[:1])
+
+
 def test_materialize_empty():
     model = separated_feature_model(3, 4, 6.0, 1.0)
     ds = materialize([[0, 0, 0]], model, [default_rng(1)])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgefed.rng import STREAMS, keyed_stream, substream
+from edgefed.rng import STREAMS, substream
 
 
 def test_substream_is_reproducible():
@@ -29,18 +29,30 @@ def test_unknown_label_raises():
     with pytest.raises(KeyError):
         substream(1, "weather")
     with pytest.raises(KeyError, match="unknown stream label 'nope'"):
-        keyed_stream(1, "nope", 3)
+        substream(1, "nope", 3)
 
 
 def test_keyed_stream_distinguishes_entities():
-    a = keyed_stream(5, "data", 0).random(4)
-    b = keyed_stream(5, "data", 1).random(4)
-    again = keyed_stream(5, "data", 0).random(4)
+    a = substream(5, "data", 0).random(4)
+    b = substream(5, "data", 1).random(4)
+    again = substream(5, "data", 0).random(4)
     assert np.array_equal(a, again)
     assert not np.array_equal(a, b)
 
 
 def test_keyed_stream_does_not_collide_with_substream():
     plain = substream(5, "data").random(4)
-    keyed = keyed_stream(5, "data", 0).random(4)
+    keyed = substream(5, "data", 0).random(4)
     assert not np.array_equal(plain, keyed)
+
+
+def test_substream_keys_are_the_seed_sequence_spawn_keys():
+    # the stream map every emitted byte depends on: label index first, then
+    # the entity key as a Python int, so a numpy integer key opens the same
+    # stream as its int
+    for label, index in STREAMS.items():
+        for key in ((), (0,), (7,), (np.int64(7),)):
+            ref = np.random.default_rng(
+                np.random.SeedSequence(3, spawn_key=(index, *(int(k) for k in key)))
+            )
+            assert np.array_equal(substream(3, label, *key).random(4), ref.random(4))

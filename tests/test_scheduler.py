@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from edgefed.scheduler import (
     _kl_scores,
     _min_kl_order,
     _nearest_order,
+    _random_order,
     run_scheduler,
     serviceable_set,
     uniform_target,
@@ -45,6 +47,7 @@ from oracles import (
     mean_kl_by_round,
     merge,
     per_server,
+    random_order,
     rounds_to_threshold,
     zeros,
 )
@@ -391,6 +394,22 @@ def test_random_policy_is_reproducible():
     assert a.pairs() == b.pairs()
     with pytest.raises(InvalidParameterError):
         run_scheduler(cfg, topo, RadioConfig(), rng=None, power_solver=_stub_solver)
+
+
+@pytest.mark.parametrize("stop", [None, 37])
+def test_random_order_equals_the_choice_and_remove_oracle(stop):
+    """One pop per pick draws what ``choice`` then ``remove`` drew, and leaves
+    the generator in the same state, whether drained or stopped early."""
+    for seed in range(20):
+        pool = np.sort(default_rng(1000 + seed).choice(10_000, 2_000, replace=False)).tolist()
+        rngs = default_rng(seed), default_rng(seed)
+        orders = [
+            list(islice(order(pool, rng), stop))
+            for order, rng in zip((_random_order, random_order), rngs)
+        ]
+        assert orders[0] == orders[1]
+        assert len(orders[0]) == (stop or len(pool))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def _with_row(topo, device_id, **rows):

@@ -252,6 +252,41 @@ MUTATIONS = [
         ["tests/test_scheduler.py"],
     ),
     (
+        "nearest sort key negates the id tie-break",
+        "src/edgefed/scheduler.py",
+        "key=lambda u: (topo.distance(u, server_id), u)",
+        "key=lambda u: (topo.distance(u, server_id), -u)",
+        ["tests/test_scheduler.py"],
+    ),
+    (
+        "random pick pops the neighbouring index",
+        "src/edgefed/scheduler.py",
+        "remaining.pop(int(rng.integers(len(remaining))))",
+        "remaining.pop(int(rng.integers(len(remaining))) - 1)",
+        ["tests/test_scheduler.py"],
+    ),
+    (
+        "substream drops its key, so every device shares one stream",
+        "src/edgefed/rng.py",
+        "spawn_key=(index, *map(int, key))",
+        "spawn_key=(index,)",
+        ["tests/test_rng.py"],
+    ),
+    (
+        "materialize accepts negative counts",
+        "src/edgefed/distributions.py",
+        "(counts < 0).any(axis=1)",
+        "(counts < -1).any(axis=1)",
+        ["tests/test_distributions.py"],
+    ),
+    (
+        "materialize accepts non-integer counts",
+        "src/edgefed/distributions.py",
+        "| (not np.issubdtype(counts.dtype, np.integer))",
+        "",
+        ["tests/test_distributions.py"],
+    ),
+    (
         "scalar kl loses its clamp at zero",
         "src/edgefed/divergence.py",
         "    return max(value, 0.0)\n",
