@@ -403,11 +403,14 @@ def materialize(
         raise DimensionMismatchError(
             f"feature model covers {model.num_classes} classes, counts have shape {counts.shape}"
         )
-    bad = np.flatnonzero((counts < 0).any(axis=1) | (not np.issubdtype(counts.dtype, np.integer)))
+    integer = np.issubdtype(counts.dtype, np.integer)
+    bad = np.flatnonzero((counts < 0).any(axis=1) | (not integer))
     if bad.size:
         raise InvalidInputError(
             f"count row {bad[0]} must hold non-negative integers, got {counts[bad[0]].tolist()}"
         )
+    if not integer:  # only a matrix without rows gets here
+        raise InvalidInputError(f"counts must have an integer dtype, got {counts.dtype}")
     classes = np.tile(np.arange(model.num_classes, dtype=np.int64), len(counts))
     labels = np.repeat(classes, counts.reshape(-1))
     features = np.empty((labels.size, model.feat_dim))

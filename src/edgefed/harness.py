@@ -12,6 +12,7 @@ import math
 import os
 import platform
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .network import (
     RadioConfig,
     Topology,
     TopologyParams,
+    TransferRecord,
     assign_subcarriers,
     place_topology,
     system_cost,
@@ -376,6 +378,29 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# One ``plan.to_dict()`` record as ``_json`` lays it out: ``TransferRecord``'s
+# fields as sorted keys, indented inside the "entries" list. ``format`` writes
+# an int or a finite float as json does; ``_PLAN_NONFINITE`` respells the rest.
+_PLAN_NAMES = sorted(f.name for f in fields(TransferRecord))
+_PLAN_ROW = "    {{\n" + ",\n".join(f'      "{n}": {{}}' for n in _PLAN_NAMES) + "\n    }}"
+_PLAN_VALUES = attrgetter(*_PLAN_NAMES)
+_PLAN_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+
+
+def _plan_json(plan: OffloadPlan) -> str:
+    """``_json(plan.to_dict())``, byte for byte, written one record at a time.
+
+    json's indented output always runs its pure-Python encoder; one template
+    per record is several times faster on a 2,000-pair plan.
+    """
+    if not plan.entries:
+        return '{\n  "entries": []\n}\n'
+    rows = ",\n".join(_PLAN_ROW.format(*_PLAN_VALUES(e)) for e in plan.entries)
+    for written, spelled in _PLAN_NONFINITE:
+        rows = rows.replace(written, spelled)
+    return '{\n  "entries": [\n' + rows + "\n  ]\n}\n"
+
+
 def resolve_out_dir(cfg: ScenarioConfig, override: str | None = None) -> Path:
     """Pick the output directory: env override, CLI value, config, cwd."""
     env = os.environ.get(OUTPUT_DIR_ENV)
@@ -418,7 +443,7 @@ def emit(bundle: ResultsBundle, out_dir) -> list:
                 for e in bundle.plan.entries
             ),
         ),
-        "plan.json": _json(bundle.plan.to_dict()),
+        "plan.json": _plan_json(bundle.plan),
         "summary.json": _json(summary),
     }
     out = Path(out_dir)

@@ -326,20 +326,43 @@ def assign_subcarriers(pairs: Sequence, num_subcarriers: int) -> SubcarrierMap:
     return SubcarrierMap(dict(assignment), frozen)
 
 
-def effective_interference(
-    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
-) -> float:
-    """Noise plus the received power of every co-channel transfer at rated power.
+# Most entries one ``noise_floors`` block holds: 8 MB of float64.
+_FLOOR_BLOCK_VALUES = 1 << 20
 
-    The interferers are summed from 0.0 and the noise is added last; SINR
-    values depend on that order bit for bit.
+
+def noise_floors(
+    pairs: Sequence, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
+) -> np.ndarray:
+    """Each pair's noise plus the received power of its co-channel transfers.
+
+    Every other transfer on a pair's subcarrier interferes at the rated
+    power. One array op prices a subcarrier's co-channel group, ascending by
+    device id: row j of ``rated_power * gains`` holds every group member's
+    power at receiver j's server, with its own entry zeroed, and
+    ``np.cumsum`` along the row adds those left to right, as a Python loop
+    from 0.0 would (``np.sum`` along a row is pairwise and changes bits). The
+    noise is added last. A group is priced at most ``_FLOOR_BLOCK_VALUES``
+    entries at a time, a slice of receiver rows each, so one subcarrier
+    shared by thousands of pairs stays small. Returns a float64 array
+    aligned with ``pairs``; a pair with no subcarrier raises
+    ``UnknownPairError``.
     """
-    u, s = pair
-    interference = 0.0
-    for v, _sv in smap.cochannel[smap.subcarrier(pair)]:
-        if v != u:
-            interference += cfg.rated_power * topo.gain(v, s)
-    return cfg.noise_power + interference
+    floor_of = {}
+    for k in sorted({smap.subcarrier(pair) for pair in pairs}):
+        group = smap.cochannel[k]
+        ids, servers = np.array(group, dtype=np.int64).T
+        outside = (ids < 0) | (ids >= len(topo.home))
+        bad = np.flatnonzero(outside | (servers < 0) | (servers >= len(topo.servers)))
+        if bad.size:
+            topo.check_pair(*group[bad[0]])
+        rows = max(1, _FLOOR_BLOCK_VALUES // len(group))
+        for lo in range(0, len(group), rows):
+            block = topo.gains[ids[None, :], servers[lo : lo + rows, None]]
+            block *= cfg.rated_power
+            np.fill_diagonal(block[:, lo:], 0.0)
+            np.cumsum(block, axis=1, out=block)
+            floor_of.update(zip(group[lo : lo + rows], (block[:, -1] + cfg.noise_power).tolist()))
+    return np.array([floor_of[pair] for pair in pairs], dtype=np.float64)
 
 
 def rate(sinr_value: float, cfg: RadioConfig) -> float:
@@ -377,7 +400,7 @@ def transfer_record(
 ) -> TransferRecord:
     """Radio record of one transfer at ``power``.
 
-    ``noise_floor`` is the pair's ``effective_interference``, and the SINR is
+    ``noise_floor`` is the pair's entry of ``noise_floors``, and the SINR is
     ``gain * power / noise_floor``.
     """
     if power < 0:
@@ -438,11 +461,10 @@ def system_cost(
     from the given powers, so the same plan can be costed under different
     power policies.
     """
+    pairs = plan.pairs()
     total = 0.0
-    for e in plan.entries:
-        pair = (e.device, e.server)
+    for pair, floor in zip(pairs, noise_floors(pairs, smap, topo, cfg).tolist()):
         if pair not in powers:
             raise UnknownPairError(f"no power allocated for pair {pair}")
-        floor = effective_interference(pair, smap, topo, cfg)
         total += transfer_record(pair, float(powers[pair]), floor, smap, topo, cfg).energy_joules
     return total

@@ -1,7 +1,7 @@
 """Per-pair transmit-power allocation at the transmit floor.
 
 Interference from co-channel transfers is folded into an effective noise
-floor, ``network.effective_interference``, which prices the interferers at
+floor per pair, ``network.noise_floors``, which prices the interferers at
 their rated power and so decouples the pairs: each transfer then minimises
 its own energy ``epsilon * p / log2(1 + kappa * p)`` subject to a box
 constraint on p. That energy is strictly increasing in p
@@ -23,7 +23,6 @@ from .network import (
     SubcarrierMap,
     Topology,
     TransferRecord,
-    effective_interference,
     transfer_record,
 )
 
@@ -110,13 +109,12 @@ def allocate_power(params: PairParams) -> PowerResult:
 
 
 def solve_pair(
-    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
+    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig, noise_floor: float
 ) -> TransferRecord:
     """Allocate power for one pair and compute its radio record.
 
-    The pair's noise floor is computed once and serves both its objective
-    coefficients and its ``network.transfer_record``.
+    ``noise_floor`` is the pair's entry of ``network.noise_floors``; it
+    serves both the objective coefficients and the ``transfer_record``.
     """
-    noise_floor = effective_interference(pair, smap, topo, cfg)
     result = allocate_power(_pair_params(pair, noise_floor, topo, cfg))
     return transfer_record(pair, result.power, noise_floor, smap, topo, cfg)

@@ -35,6 +35,7 @@ from .network import (
     RadioConfig,
     Topology,
     assign_subcarriers,
+    noise_floors,
 )
 from .power import solve_pair
 
@@ -189,8 +190,8 @@ def run_scheduler(
     one candidate per round; merges made while the server's planned total is
     still below ``cfg.gamma`` enter the transfer plan. Once every server has
     finished, subcarriers are assigned round robin over the plan in selection
-    order and the power solver prices each planned pair against the complete
-    co-channel picture.
+    order, the noise floors of the complete co-channel picture are computed
+    once, and the power solver prices each planned pair at its floor.
 
     Args:
         cfg: scheduling inputs.
@@ -198,7 +199,8 @@ def run_scheduler(
         radio: uplink parameters (subcarrier count, powers, noise).
         rng: required by the random policy only.
         power_solver: optional override with signature
-            ``(pair, smap, topo, radio) -> TransferRecord``.
+            ``(pair, smap, topo, radio, noise_floor) -> TransferRecord``,
+            called with each pair's entry of ``noise_floors``.
 
     Returns:
         Tuple ``(plan, trace)``.
@@ -239,6 +241,9 @@ def run_scheduler(
             for k, u in enumerate(picked)
         )
     smap = assign_subcarriers(plan_pairs, radio.subcarriers)
+    floors = noise_floors(plan_pairs, smap, topo, radio).tolist()
     solver = power_solver or solve_pair
-    entries = tuple(solver(pair, smap, topo, radio) for pair in plan_pairs)
+    entries = tuple(
+        solver(pair, smap, topo, radio, floor) for pair, floor in zip(plan_pairs, floors)
+    )
     return OffloadPlan(entries), OffloadTrace(tuple(trace_rows))

@@ -17,7 +17,6 @@ from edgefed.network import (
     RadioConfig,
     SubcarrierMap,
     Topology,
-    effective_interference,
 )
 from edgefed.power import PairParams, _pair_params, objective
 from edgefed.scheduler import OffloadTrace
@@ -200,6 +199,23 @@ def flatten(params: ModelParams) -> np.ndarray:
 def label_histogram(dataset: Dataset, num_classes: int) -> LabelDistribution:
     counts = np.bincount(dataset.labels, minlength=num_classes)
     return LabelDistribution(counts)
+
+
+def effective_interference(
+    pair, smap: SubcarrierMap, topo: Topology, cfg: RadioConfig
+) -> float:
+    """Noise plus the received power of every co-channel transfer at rated power.
+
+    The scalar form of ``network.noise_floors``: the interferers are summed
+    from 0.0 in ascending device id and the noise is added last; SINR values
+    depend on that order bit for bit.
+    """
+    u, s = pair
+    interference = 0.0
+    for v, _sv in smap.cochannel[smap.subcarrier(pair)]:
+        if v != u:
+            interference += cfg.rated_power * topo.gain(v, s)
+    return cfg.noise_power + interference
 
 
 def sinr(

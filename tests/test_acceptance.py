@@ -64,7 +64,7 @@ from oracles import (
 SEEDS = tuple(range(1, 11))
 
 
-def _stub_solver(pair, smap, topo, radio):
+def _stub_solver(pair, smap, topo, radio, noise_floor):
     # plan-only runs skip the power pricing entirely
     u, s = pair
     return TransferRecord(

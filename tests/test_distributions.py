@@ -402,6 +402,15 @@ def test_materialize_rejects_non_integer_or_negative_counts():
         materialize([[1, -1]], model, streams[:1])
 
 
+def test_materialize_zero_rows():
+    """A matrix without rows has no row to name, so a float one is refused by dtype."""
+    model = separated_feature_model(2, 3, 6.0, 1.0)
+    with pytest.raises(InvalidInputError, match="^counts must have an integer dtype, got float64$"):
+        materialize(np.zeros((0, 2)), model, [])
+    ds = materialize(np.zeros((0, 2), dtype=np.int64), model, [])
+    assert ds.features.shape == (0, 3) and ds.labels.shape == (0,)
+
+
 def test_materialize_empty():
     model = separated_feature_model(3, 4, 6.0, 1.0)
     ds = materialize([[0, 0, 0]], model, [default_rng(1)])

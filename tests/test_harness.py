@@ -27,7 +27,7 @@ from edgefed.harness import (
     run_scenario,
     server_datasets_from_plan,
 )
-from edgefed.network import OffloadPlan, assign_subcarriers, system_cost
+from edgefed.network import OffloadPlan, TransferRecord, assign_subcarriers, system_cost
 from edgefed.rng import substream
 from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
 
@@ -446,6 +446,50 @@ def test_emit_schema(tmp_path):
     assert summary["cost_joules"] > 0.0
     assert "final_accuracy" in summary
     assert summary["plan_size"] == len(bundle.plan.entries)
+
+
+def _dumped(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_plan_writer_equals_json_dumps_on_full_offloads_plan():
+    cfg = ScenarioConfig.from_json(PERFBENCH / "scenarios" / "full_offload.json")
+    _, topo = build_population(cfg)
+    target = uniform_target(10, cfg.scheduler.gamma, 10)
+    sched = SchedulerConfig(cfg.scheduler.gamma, target, Policy.NEAREST)
+    plan, _ = run_scheduler(sched, topo, cfg.radio)
+    assert len(plan.entries) == 2000
+    # Line lists, so that a failure reports the first bad line without
+    # diffing two 500 kB strings.
+    got = harness._plan_json(plan)
+    assert got.splitlines() == _dumped(plan.to_dict()).splitlines()
+    assert got.endswith("}\n")
+
+
+def test_plan_writer_equals_json_dumps_on_an_empty_plan_and_non_finite_floats():
+    assert harness._plan_json(OffloadPlan(())) == _dumped(OffloadPlan(()).to_dict())
+    odd = TransferRecord(
+        device=7,
+        server=2,
+        subcarrier=0,
+        power=float("inf"),
+        sinr=float("nan"),
+        rate=1e22,
+        transfer_seconds=-0.0,
+        energy_joules=float("-inf"),
+    )
+    plain = TransferRecord(3, 1, 5, 1e-3, 5e-324, 0.1, 2.5, 1e-3 * 2.5)
+    plan = OffloadPlan((odd, plain))
+    text = harness._plan_json(plan)
+    assert text == _dumped(plan.to_dict())
+    assert '"sinr": NaN' in text and '"power": Infinity' in text
+
+
+def test_summary_json_keys_are_sorted(tmp_path):
+    """``summary.json`` re-dumps to itself with sorted keys; no byte pin covers it."""
+    emit(run_scenario(_tiny_config(seed=12)), tmp_path)
+    text = (tmp_path / "summary.json").read_text()
+    assert _dumped(json.loads(text)) == text
 
 
 def test_zero_round_summary_is_strict_json(tmp_path):

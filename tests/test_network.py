@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,14 +25,19 @@ from edgefed.network import (
     TransferRecord,
     assign_subcarriers,
     channel_gain,
-    effective_interference,
     place_topology,
     rate,
     system_cost,
     transfer_time,
 )
 
-from oracles import sinr
+from edgefed.harness import ScenarioConfig, build_population, desk_config
+from edgefed.rng import substream
+from edgefed.scheduler import Policy, SchedulerConfig, run_scheduler, uniform_target
+
+from oracles import effective_interference, sinr
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 
 
 def _single_cell_topology(gain_matrix, bits=100_000, num_servers=1):
@@ -408,6 +414,7 @@ def test_sinr_sums_interferers_before_the_noise():
     cfg = RadioConfig(subcarriers=1, noise_power=noise, rated_power=0.5)
     smap = assign_subcarriers([(0, 0), (1, 0), (2, 0)], 1)
     assert effective_interference((0, 0), smap, topo, cfg) == noise + (a + b)
+    assert network.noise_floors([(0, 0)], smap, topo, cfg).tolist() == [noise + (a + b)]
     assert sinr((0, 0), 0.5, smap, topo, cfg) == 1e-9 * 0.5 / (noise + (a + b))
 
 
@@ -446,6 +453,108 @@ def test_transfer_time_hand_computation():
     cfg = RadioConfig()
     seconds = transfer_time(1e6, rate(3.0, cfg))
     assert math.isclose(seconds, 12.8, rel_tol=1e-12)
+
+
+# --------------------------------------------------------------- noise floors
+
+
+def _plan_config(name):
+    if name == "desk_3_subcarriers":
+        return desk_config(seed=2, radio=RadioConfig(subcarriers=3))
+    if name == "desk_1_subcarrier":
+        return desk_config(seed=4, radio=RadioConfig(subcarriers=1))
+    if name == "desk_no_fading":
+        return desk_config(seed=3, topology=TopologyParams(fading=False))
+    return ScenarioConfig.from_json(SCENARIOS / f"{name}.json")
+
+
+def _planned(name, policy):
+    """A scenario's topology, radio and planned pairs under ``policy``."""
+    cfg = _plan_config(name)
+    _, topo = build_population(cfg)
+    gamma = cfg.scheduler.gamma
+    target = uniform_target(cfg.topology.num_servers, gamma, cfg.data.num_classes)
+    sched = SchedulerConfig(gamma=gamma, target=target, policy=policy)
+    plan, _ = run_scheduler(sched, topo, cfg.radio, substream(cfg.seed, "scheduler"))
+    return topo, cfg.radio, plan.pairs()
+
+
+@pytest.mark.parametrize(
+    "name, policy",
+    [
+        ("golden", Policy.MIN_KL),
+        ("golden", Policy.NEAREST),
+        ("full_offload", Policy.NEAREST),
+        ("desk_3_subcarriers", Policy.MIN_KL),
+        ("desk_no_fading", Policy.RANDOM),
+        ("desk_1_subcarrier", Policy.NEAREST),
+    ],
+)
+def test_noise_floors_equal_the_scalar_oracle(name, policy):
+    """One array op per subcarrier gives every pair's ``effective_interference``
+    bit for bit, aligned with the pairs in any order."""
+    topo, radio, pairs = _planned(name, policy)
+    smap = assign_subcarriers(pairs, radio.subcarriers)
+    want = np.array([effective_interference(p, smap, topo, radio) for p in pairs])
+    got = network.noise_floors(pairs, smap, topo, radio)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert (want > radio.noise_power).any()  # the groups interfere
+    backwards = network.noise_floors(pairs[::-1], smap, topo, radio)
+    assert backwards.tobytes() == want[::-1].tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_noise_floors_price_a_large_group_in_row_slices(rows, monkeypatch):
+    """With one subcarrier every pair shares a group; priced ``rows`` receivers
+    at a time, each floor still has the oracle's bits."""
+    topo, radio, pairs = _planned("desk_1_subcarrier", Policy.NEAREST)
+    smap = assign_subcarriers(pairs, radio.subcarriers)
+    assert len(pairs) % 4 and len(smap.cochannel) == 1  # the last slice is short
+    monkeypatch.setattr(network, "_FLOOR_BLOCK_VALUES", rows * len(pairs))
+    want = np.array([effective_interference(p, smap, topo, radio) for p in pairs])
+    assert network.noise_floors(pairs, smap, topo, radio).tobytes() == want.tobytes()
+
+
+def test_noise_floors_add_left_to_right_where_a_pairwise_sum_differs():
+    """full_offload's groups hold ~16 pairs each, where ``np.sum`` along a row
+    adds pairwise and misses the oracle's bits, so the order is pinned there."""
+    topo, radio, pairs = _planned("full_offload", Policy.NEAREST)
+    smap = assign_subcarriers(pairs, radio.subcarriers)
+    assert max(map(len, smap.cochannel.values())) > 8
+    differ = 0
+    for group in smap.cochannel.values():
+        ids, servers = np.array(group).T
+        block = radio.rated_power * topo.gains[ids[None, :], servers[:, None]]
+        np.fill_diagonal(block, 0.0)
+        pairwise = np.sum(block, axis=1) + radio.noise_power
+        differ += sum(
+            x != effective_interference(p, smap, topo, radio) for x, p in zip(pairwise, group)
+        )
+    assert differ > 0
+
+
+def test_noise_floor_of_a_lone_pair_is_the_noise():
+    topo = _single_cell_topology([[1e-9], [3e-13]])
+    cfg = RadioConfig(noise_power=1e-13)
+    smap = assign_subcarriers([(1, 0)], 4)
+    assert network.noise_floors([(1, 0)], smap, topo, cfg).tolist() == [1e-13]
+    assert network.noise_floors([], smap, topo, cfg).shape == (0,)
+
+
+def test_noise_floors_reject_pairs_without_a_subcarrier_or_a_topology_row():
+    topo = _single_cell_topology([[1e-9], [3e-13]], num_servers=1)
+    cfg = RadioConfig(subcarriers=1)
+    smap = assign_subcarriers([(0, 0), (1, 0)], 1)
+    with pytest.raises(UnknownPairError, match=r"pair \(2, 0\) has no subcarrier"):
+        network.noise_floors([(0, 0), (2, 0)], smap, topo, cfg)
+    with pytest.raises(UnknownPairError, match=r"pair \(1, 1\) has no subcarrier"):
+        network.noise_floors([(1, 1)], smap, topo, cfg)
+    outside = assign_subcarriers([(0, 0), (5, 0)], 1)
+    with pytest.raises(UnknownPairError, match="no device with id 5"):
+        network.noise_floors([(0, 0)], outside, topo, cfg)
+    negative = assign_subcarriers([(0, 0), (1, -1)], 1)
+    with pytest.raises(UnknownPairError, match="no server with id -1"):
+        network.noise_floors([(0, 0)], negative, topo, cfg)
 
 
 # --------------------------------------------------------------- system cost

@@ -8,15 +8,18 @@ from numpy.random import default_rng
 
 from edgefed.distributions import uniform_distribution
 from edgefed.errors import InvalidParameterError
+from edgefed.harness import build_population, desk_config
 from edgefed.network import (
+    DEFAULT_P_MIN,
     RadioConfig,
     Server,
     Topology,
     TopologyParams,
     assign_subcarriers,
-    effective_interference,
+    noise_floors,
     place_topology,
     rate,
+    transfer_record,
 )
 from edgefed.power import (
     PairParams,
@@ -26,7 +29,7 @@ from edgefed.power import (
     solve_pair,
 )
 
-from oracles import pair_params, quasiconvexity_probe, sinr
+from oracles import effective_interference, pair_params, quasiconvexity_probe, sinr
 
 
 def _one_server_topo(gain_rows, bits=100_000):
@@ -209,7 +212,7 @@ def test_solve_pair_record_is_consistent():
     cfg = RadioConfig(noise_power=1e-13)
     topo = _one_server_topo([[1e-9]], bits=200_000)
     smap = assign_subcarriers([(0, 0)], 128)
-    rec = solve_pair((0, 0), smap, topo, cfg)
+    rec = solve_pair((0, 0), smap, topo, cfg, effective_interference((0, 0), smap, topo, cfg))
     assert rec.device == 0 and rec.server == 0
     assert rec.power == 1e-3  # the monotone objective hits the floor
     assert math.isclose(rec.energy_joules, rec.power * rec.transfer_seconds, rel_tol=1e-12)
@@ -223,10 +226,22 @@ def test_solve_pair_sinr_equals_network_sinr():
     topo = place_topology(layout, default_rng(4), counts=np.ones((60, 10), dtype=np.int64))
     pairs = list(enumerate(topo.home.tolist()))
     smap = assign_subcarriers(pairs, cfg.subcarriers)
-    for pair in pairs:
-        rec = solve_pair(pair, smap, topo, cfg)
+    for pair, floor in zip(pairs, noise_floors(pairs, smap, topo, cfg).tolist()):
+        rec = solve_pair(pair, smap, topo, cfg, floor)
         assert rec.sinr == sinr(pair, rec.power, smap, topo, cfg)
         assert rec.rate == rate(rec.sinr, cfg)
         assert rec.energy_joules == rec.power * rec.transfer_seconds
     # the pairs share subcarriers across cells, so the floors carry interference
     assert any(effective_interference(p, smap, topo, cfg) > cfg.noise_power for p in pairs)
+
+
+@pytest.mark.parametrize("subcarriers", [3, 128])
+def test_solve_pair_at_the_supplied_floor_is_the_record_at_the_oracle_floor(subcarriers):
+    cfg = RadioConfig(subcarriers=subcarriers)
+    _, topo = build_population(desk_config(seed=5, radio=cfg))
+    pairs = list(enumerate(topo.home.tolist()))
+    smap = assign_subcarriers(pairs, cfg.subcarriers)
+    for pair, floor in zip(pairs, noise_floors(pairs, smap, topo, cfg).tolist()):
+        oracle = effective_interference(pair, smap, topo, cfg)
+        want = transfer_record(pair, DEFAULT_P_MIN, oracle, smap, topo, cfg)
+        assert solve_pair(pair, smap, topo, cfg, floor) == want

@@ -53,7 +53,7 @@ from oracles import (
 )
 
 
-def _stub_solver(pair, smap, topo, radio):
+def _stub_solver(pair, smap, topo, radio, noise_floor):
     """Pricing stand-in for tests that only care about the plan shape."""
     u, s = pair
     return TransferRecord(

@@ -282,8 +282,8 @@ MUTATIONS = [
     (
         "materialize accepts non-integer counts",
         "src/edgefed/distributions.py",
-        "| (not np.issubdtype(counts.dtype, np.integer))",
-        "",
+        "(counts < 0).any(axis=1) | (not integer)",
+        "(counts < 0).any(axis=1)",
         ["tests/test_distributions.py"],
     ),
     (
@@ -333,13 +333,42 @@ MUTATIONS = [
         "src/edgefed/harness.py",
         "json.dumps(payload, indent=2, sort_keys=True)",
         "json.dumps(payload, indent=2)",
-        ["tests/test_byte_stability.py"],
+        ["tests/test_harness.py"],
+    ),
+    (
+        "plan.json writer swaps rate and sinr",
+        "src/edgefed/harness.py",
+        "_PLAN_VALUES = attrgetter(*_PLAN_NAMES)",
+        '_PLAN_VALUES = attrgetter(*[{"rate": "sinr", "sinr": "rate"}.get(n, n) for n in _PLAN_NAMES])',
+        ["tests/test_harness.py"],
+    ),
+    (
+        "noise floors keep the diagonal",
+        "src/edgefed/network.py",
+        "            np.fill_diagonal(block[:, lo:], 0.0)\n",
+        "",
+        ["tests/test_network.py"],
+    ),
+    (
+        "noise floors use np.sum",
+        "src/edgefed/network.py",
+        "            np.cumsum(block, axis=1, out=block)\n"
+        "            floor_of.update(zip(group[lo : lo + rows], (block[:, -1] + cfg.noise_power)",
+        "            floor_of.update(zip(group[lo : lo + rows], (np.sum(block, axis=1) + cfg.noise_power)",
+        ["tests/test_network.py"],
     ),
     (
         "materialize draws every histogram from the first stream",
         "src/edgefed/distributions.py",
         "        rng.standard_normal(out=block)\n",
         "        rngs[0].standard_normal(out=block)\n",
+        ["tests/test_distributions.py"],
+    ),
+    (
+        "materialize accepts a float matrix without rows",
+        "src/edgefed/distributions.py",
+        "    if not integer:  # only a matrix without rows gets here\n",
+        "    if False:\n",
         ["tests/test_distributions.py"],
     ),
     (
